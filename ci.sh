@@ -11,12 +11,9 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== tier-1: release build + tests =="
+echo "== tier-1: release build + tests (default-members = whole workspace) =="
 cargo build --release
 cargo test -q
-
-echo "== workspace tests =="
-cargo test --workspace -q
 
 echo "== telemetry smoke: traced run + machine-readable validation =="
 TELEMETRY_DIR="$(mktemp -d)"

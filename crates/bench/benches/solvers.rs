@@ -3,19 +3,16 @@
 //! backend (Jacobi-CG vs multigrid-CG vs direct), the backward-Euler
 //! transient step per solver backend, the sparse LDLᵀ
 //! factor/refactor/solve kernels, the PDN IR-drop solve per backend,
-//! the transient-noise convolution, and workload trace generation.
+//! and workload trace generation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use floorplan::reference::power8_like;
-use pdn::transient::{peak_transient_fraction, TransientParams};
 use pdn::{PdnConfig, PdnModel};
 use simkit::linalg::{LdltFactor, LdltWorkspace, SolverBackend};
-use simkit::units::{Amps, Hertz, Seconds, Watts};
-use simkit::DeterministicRng;
+use simkit::units::{Seconds, Watts};
 use std::hint::black_box;
 use thermal::{PowerMap, ThermalConfig, ThermalModel};
 use vreg::GatingState;
-use workload::microtrace::generate_window;
 use workload::{Benchmark, TraceGenerator};
 
 fn spmv_kernel(c: &mut Criterion) {
@@ -156,27 +153,6 @@ fn pdn_solvers(c: &mut Criterion) {
             b.iter(|| model.ir_drop(black_box(&all_on), &powers).unwrap())
         });
     }
-
-    let mut rng = DeterministicRng::new(7);
-    let window = generate_window(&mut rng, 2000, 0.6, 0.7);
-    let params = TransientParams {
-        mean_current: Amps::new(9.0),
-        n_active: 5,
-        n_total: 9,
-        distance_factor: 1.3,
-        response_time: Seconds::from_nanos(15.0),
-        frequency: Hertz::from_ghz(4.0),
-    };
-    c.bench_function("pdn/transient_window_2k_cycles", |b| {
-        b.iter(|| {
-            peak_transient_fraction(
-                &PdnConfig::reference(),
-                black_box(&params),
-                window.multipliers(),
-                1000,
-            )
-        })
-    });
 }
 
 fn workload_generation(c: &mut Criterion) {

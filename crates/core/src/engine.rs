@@ -36,7 +36,6 @@ use crate::predictor::{DomainPowerForecaster, ThermalPredictor};
 use crate::result::{DecisionRecord, SimulationResult};
 use crate::sensor::ThermalSensorArray;
 use floorplan::{DomainId, Floorplan};
-use pdn::transient::{cycles_over, noise_series, TransientParams};
 use pdn::{
     EmergencyDetector, EmergencyPredictor, NoiseAnalyzer, PdnConfig, PdnModel, WindowInputs,
 };
@@ -983,9 +982,8 @@ impl<'c> SimulationEngine<'c> {
                         },
                     )?;
                     solver_profile.merge_agg("noise", &report.ir_solve_stats());
-                    for (d, flag) in truth.iter_mut().enumerate() {
-                        *flag |=
-                            report.domain_fraction(DomainId(d)) > detector.threshold_fraction();
+                    for d in detector.detect(&report) {
+                        truth[d.0] = true;
                     }
                 }
                 noise_secs += t_truth.elapsed_seconds();
@@ -1188,27 +1186,23 @@ impl<'c> SimulationEngine<'c> {
                         self.telemetry.histogram("engine.window_noise_pct", pct);
 
                         // Emergency residency (Table 2) + worst trace
-                        // (Fig. 14). The analyzer's report carries the
-                        // static IR component, so no second grid solve.
-                        let mut window_emergency_cycles = 0usize;
-                        for (d, domain) in self.chip.domains().iter().enumerate() {
-                            let params =
-                                self.transient_params(domain, view.gating, view.block_powers);
-                            let mut over = cycles_over(
-                                &cfg.pdn,
-                                &params,
-                                &mults[d],
-                                WARMUP_CYCLES,
-                                report.domain_ir_fraction(DomainId(d)),
-                                threshold,
-                            );
-                            if backstop && !applied_emergency[d] {
-                                // Detector reaction truncates the
-                                // emergency after detection latency.
-                                over = over.min(DETECTOR_REACTION_CYCLES);
-                            }
-                            window_emergency_cycles = window_emergency_cycles.max(over);
-                        }
+                        // (Fig. 14), both read from the report's
+                        // per-domain transient series.
+                        let window_emergency_cycles = applied_emergency
+                            .iter()
+                            .enumerate()
+                            .map(|(d, &applied)| {
+                                let over = report.cycles_over(DomainId(d), threshold);
+                                if backstop && !applied {
+                                    // Detector reaction truncates the
+                                    // emergency after detection latency.
+                                    over.min(DETECTOR_REACTION_CYCLES)
+                                } else {
+                                    over
+                                }
+                            })
+                            .max()
+                            .unwrap_or(0);
                         emergency_cycles += window_emergency_cycles;
                         analyzed_cycles += WINDOW_CYCLES - WARMUP_CYCLES;
 
@@ -1221,23 +1215,8 @@ impl<'c> SimulationEngine<'c> {
                                         .expect("finite noise")
                                 })
                                 .expect("at least one domain");
-                            let params = self.transient_params(
-                                &self.chip.domains()[worst_domain],
-                                view.gating,
-                                view.block_powers,
-                            );
-                            let trace: Vec<f64> = noise_series(
-                                &cfg.pdn,
-                                &params,
-                                &mults[worst_domain],
-                                WARMUP_CYCLES,
-                            )
-                            .into_iter()
-                            .map(|t| {
-                                (t + report.domain_ir_fraction(DomainId(worst_domain))) * 100.0
-                            })
-                            .collect();
-                            worst_window = Some((pct, trace));
+                            worst_window =
+                                Some((pct, report.trace_percent(DomainId(worst_domain))));
                         }
                         noise_secs += t_noise.elapsed_seconds();
                     }
@@ -1363,32 +1342,6 @@ impl<'c> SimulationEngine<'c> {
                     .to_vec()
             })
             .collect()
-    }
-
-    /// Transient parameters of one domain under the current gating.
-    fn transient_params(
-        &self,
-        domain: &floorplan::VddDomain,
-        gating: &GatingState,
-        block_powers: &[Watts],
-    ) -> TransientParams {
-        let vdd = self.config.tech.vdd;
-        let mean_current = domain
-            .blocks()
-            .iter()
-            .map(|&b| block_powers[b.0])
-            .sum::<Watts>()
-            / vdd;
-        TransientParams {
-            mean_current,
-            n_active: gating.active_among(domain.vrs()).max(1),
-            n_total: domain.vr_count(),
-            distance_factor: self
-                .pdn
-                .active_distance_factor(domain.id(), gating, block_powers),
-            response_time: self.config.design.response_time(),
-            frequency: self.config.tech.frequency,
-        }
     }
 }
 

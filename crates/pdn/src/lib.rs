@@ -17,9 +17,13 @@
 //!   windows (the paper's VoltSpot sampling methodology), via an
 //!   underdamped impulse-response kernel whose magnitude shrinks with the
 //!   number of active regulators and with regulator response speed (the
-//!   LDO-vs-FIVR distinction of Fig. 15).
-//! * [`NoiseAnalyzer`] — combines both into the per-domain maximum
-//!   voltage-noise percentages reported in Figs. 11/14/15.
+//!   LDO-vs-FIVR distinction of Fig. 15). Its one entry point,
+//!   [`transient::noise_series`], returns a window's per-cycle series.
+//! * [`NoiseAnalyzer`] — combines both: one transient pass per domain and
+//!   window yields a [`NoiseReport`] holding the per-domain maximum
+//!   voltage noise (Figs. 11/14/15), the Table 2 emergency residency
+//!   ([`NoiseReport::cycles_over`]) and the Fig. 14 per-cycle trace
+//!   ([`NoiseReport::trace_percent`]).
 //! * [`EmergencyDetector`] / [`EmergencyPredictor`] — the 10 %-of-Vdd
 //!   voltage-emergency definition of Section 6.2.4 and the ~90 %-accurate
 //!   Reddi-style predictor PracVT deploys.

@@ -2,7 +2,7 @@
 
 use crate::config::PdnConfig;
 use crate::grid::PdnModel;
-use crate::transient::{peak_transient_fraction, TransientParams};
+use crate::transient::{noise_series, TransientParams};
 use floorplan::{DomainId, Floorplan};
 use simkit::perf::SolverAgg;
 use simkit::telemetry::Telemetry;
@@ -10,11 +10,14 @@ use simkit::units::{Hertz, Seconds, Watts};
 use simkit::Result;
 use vreg::GatingState;
 
-/// Per-domain maximum voltage noise, as fractions of nominal Vdd.
+/// Per-domain voltage noise of one sampled window, as fractions of
+/// nominal Vdd: the maximum (IR + transient peak), the static IR part,
+/// and the per-cycle transient series the peak was read from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NoiseReport {
     per_domain: Vec<f64>,
     per_domain_ir: Vec<f64>,
+    per_domain_series: Vec<Vec<f64>>,
     ir_solve: SolverAgg,
 }
 
@@ -22,12 +25,14 @@ impl NoiseReport {
     /// Builds a report from raw per-domain total-noise fractions
     /// (indexed by [`DomainId`]) — mainly for tests and external tooling;
     /// [`NoiseAnalyzer::analyze`] is the normal source of reports. The
-    /// static IR component is taken as zero.
+    /// static IR component is taken as zero and the transient series as
+    /// empty.
     pub fn from_fractions(per_domain: Vec<f64>) -> Self {
-        let per_domain_ir = vec![0.0; per_domain.len()];
+        let n = per_domain.len();
         NoiseReport {
             per_domain,
-            per_domain_ir,
+            per_domain_ir: vec![0.0; n],
+            per_domain_series: vec![Vec::new(); n],
             ir_solve: SolverAgg::default(),
         }
     }
@@ -82,6 +87,38 @@ impl NoiseReport {
     pub fn fractions(&self) -> &[f64] {
         &self.per_domain
     }
+
+    /// Number of analysis cycles whose total noise in one domain
+    /// (transient + static IR) strictly exceeds `threshold_fraction` of
+    /// Vdd — the quantity behind Table 2's "% execution time spent in
+    /// voltage emergencies". Zero for [`NoiseReport::from_fractions`]
+    /// reports, which carry no series.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the domain id is out of range.
+    pub fn cycles_over(&self, domain: DomainId, threshold_fraction: f64) -> usize {
+        let ir = self.per_domain_ir[domain.0];
+        self.per_domain_series[domain.0]
+            .iter()
+            .filter(|&&v| v + ir > threshold_fraction)
+            .count()
+    }
+
+    /// One domain's per-cycle total noise (transient + static IR) over the
+    /// analysis region, in percent of Vdd — the Fig. 14 trace. Its
+    /// maximum is the domain's fraction in percent.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the domain id is out of range.
+    pub fn trace_percent(&self, domain: DomainId) -> Vec<f64> {
+        let ir = self.per_domain_ir[domain.0];
+        self.per_domain_series[domain.0]
+            .iter()
+            .map(|&v| (v + ir) * 100.0)
+            .collect()
+    }
 }
 
 /// One noise evaluation's inputs for a single sampled cycle window.
@@ -92,7 +129,8 @@ pub struct WindowInputs<'a> {
     /// Per-domain cycle-current multipliers for the window (indexed by
     /// [`DomainId`]); each slice is one window of per-cycle multipliers.
     pub domain_multipliers: &'a [Vec<f64>],
-    /// Warm-up cycles excluded from the peak search.
+    /// Warm-up cycles that seed the convolution but are excluded from the
+    /// analysed series.
     pub warmup: usize,
 }
 
@@ -150,44 +188,40 @@ impl NoiseAnalyzer {
     ) -> Result<NoiseReport> {
         let ir = model.ir_drop(gating, inputs.block_powers)?;
         let config: &PdnConfig = model.config();
-        let vdd = config.vdd;
-
-        let mut per_domain_ir = Vec::with_capacity(chip.domains().len());
-        let per_domain = chip
-            .domains()
-            .iter()
-            .map(|domain| {
-                let d = domain.id();
-                per_domain_ir.push(ir.domain_fraction(d));
-                let mean_current = domain
-                    .blocks()
-                    .iter()
-                    .map(|&b| inputs.block_powers[b.0])
-                    .sum::<Watts>()
-                    / vdd;
-                let n_active = gating.active_among(domain.vrs()).max(1);
-                let params = TransientParams {
-                    mean_current,
-                    n_active,
-                    n_total: domain.vr_count(),
-                    distance_factor: model.active_distance_factor(d, gating, inputs.block_powers),
-                    response_time: self.response_time,
-                    frequency: self.frequency,
-                };
-                let transient = peak_transient_fraction(
-                    config,
-                    &params,
-                    &inputs.domain_multipliers[d.0],
-                    inputs.warmup,
-                );
-                ir.domain_fraction(d) + transient
-            })
-            .collect();
-        let report = NoiseReport {
-            per_domain,
-            per_domain_ir,
+        let n = chip.domains().len();
+        let mut report = NoiseReport {
+            per_domain: Vec::with_capacity(n),
+            per_domain_ir: Vec::with_capacity(n),
+            per_domain_series: Vec::with_capacity(n),
             ir_solve: ir.solve_stats(),
         };
+        for domain in chip.domains() {
+            let d = domain.id();
+            let mean_current = domain
+                .blocks()
+                .iter()
+                .map(|&b| inputs.block_powers[b.0])
+                .sum::<Watts>()
+                / config.vdd;
+            let params = TransientParams {
+                mean_current,
+                n_active: gating.active_among(domain.vrs()).max(1),
+                n_total: domain.vr_count(),
+                distance_factor: model.active_distance_factor(d, gating, inputs.block_powers),
+                response_time: self.response_time,
+                frequency: self.frequency,
+            };
+            let series = noise_series(
+                config,
+                &params,
+                &inputs.domain_multipliers[d.0],
+                inputs.warmup,
+            );
+            let peak = series.iter().copied().fold(0.0, f64::max);
+            report.per_domain.push(ir.domain_fraction(d) + peak);
+            report.per_domain_ir.push(ir.domain_fraction(d));
+            report.per_domain_series.push(series);
+        }
         if self.telemetry.is_enabled() {
             let solve = report.ir_solve;
             let event = match ir.backend() {
@@ -304,6 +338,104 @@ mod tests {
         assert_eq!(report.domains_over(0.10), vec![DomainId(1), DomainId(3)]);
         assert!((report.max_percent() - 15.0).abs() < 1e-12);
         assert_eq!(report.fractions().len(), 4);
+    }
+
+    /// One analysed window on the reference chip: the memory-side gating
+    /// of `memory_side_gating_worsens_noise` under uniform powers and a
+    /// per-domain step window, with the given warm-up.
+    fn gated_report(
+        warmup: usize,
+    ) -> (Floorplan, PdnModel, NoiseAnalyzer, GatingState, NoiseReport) {
+        let (chip, model, analyzer) = setup();
+        let powers = vec![Watts::new(1.5); chip.blocks().len()];
+        let windows: Vec<Vec<f64>> = (0..chip.domains().len())
+            .map(|i| step_window(2000, 1500 + 11 * i, 0.3))
+            .collect();
+        let mut gating = GatingState::all_on(chip.vr_sites().len());
+        for domain in chip.domains() {
+            for &v in domain.vrs() {
+                if chip.vr_site(v).neighborhood() == floorplan::VrNeighborhood::Logic {
+                    gating.set(v, false).unwrap();
+                }
+            }
+        }
+        let report = analyzer
+            .analyze(
+                &chip,
+                &model,
+                &gating,
+                &WindowInputs {
+                    block_powers: &powers,
+                    domain_multipliers: &windows,
+                    warmup,
+                },
+            )
+            .unwrap();
+        (chip, model, analyzer, gating, report)
+    }
+
+    #[test]
+    fn noise_series_peak_matches_report_peak() {
+        let (chip, model, analyzer, gating, report) = gated_report(1000);
+        let powers = vec![Watts::new(1.5); chip.blocks().len()];
+        for domain in chip.domains() {
+            let d = domain.id();
+            let params = TransientParams {
+                mean_current: Watts::new(1.5) * domain.blocks().len() as f64 / model.config().vdd,
+                n_active: gating.active_among(domain.vrs()),
+                n_total: domain.vr_count(),
+                distance_factor: model.active_distance_factor(d, &gating, &powers),
+                response_time: analyzer.response_time(),
+                frequency: analyzer.frequency(),
+            };
+            let window = step_window(2000, 1500 + 11 * d.0, 0.3);
+            let series = noise_series(model.config(), &params, &window, 1000);
+            assert_eq!(series.len(), 1000);
+            let peak = series.iter().copied().fold(0.0, f64::max);
+            assert_eq!(
+                report.domain_fraction(d),
+                report.domain_ir_fraction(d) + peak,
+                "domain {d:?}"
+            );
+            let trace = report.trace_percent(d);
+            assert_eq!(trace.len(), 1000);
+            assert_eq!(
+                trace.iter().copied().fold(0.0, f64::max),
+                report.domain_fraction(d) * 100.0
+            );
+        }
+    }
+
+    #[test]
+    fn cycles_over_counts_threshold_crossings() {
+        let (chip, _, _, _, report) = gated_report(1000);
+        let d = chip.domains()[0].id();
+        let ir = report.domain_ir_fraction(d);
+        assert!(ir > 0.0);
+        // With a huge threshold nothing crosses.
+        assert_eq!(report.cycles_over(d, 10.0), 0);
+        // With a threshold below the static IR floor every cycle crosses.
+        assert_eq!(report.cycles_over(d, 0.0), 1000);
+        assert_eq!(report.cycles_over(d, ir * 0.5), 1000);
+        // Intermediate threshold: some but not all cycles cross.
+        let peak = report.domain_fraction(d);
+        let some = report.cycles_over(d, ir + (peak - ir) * 0.5);
+        assert!(some > 0 && some < 1000, "crossings {some}");
+        // The comparison is strict: a threshold equal to the peak sample
+        // plus IR does not count it, the next float down does.
+        assert_eq!(report.cycles_over(d, peak), 0);
+        assert!(report.cycles_over(d, f64::from_bits(peak.to_bits() - 1)) >= 1);
+
+        // No warm-up: the whole 2 K-cycle window is analysed.
+        let (_, _, _, _, cold) = gated_report(0);
+        assert_eq!(cold.cycles_over(d, 0.0), 2000);
+        assert_eq!(cold.trace_percent(d).len(), 2000);
+        assert_eq!(cold.cycles_over(d, 10.0), 0);
+
+        // Reports built from bare fractions carry no series.
+        let bare = NoiseReport::from_fractions(vec![0.05, 0.12]);
+        assert_eq!(bare.cycles_over(DomainId(1), 0.0), 0);
+        assert!(bare.trace_percent(DomainId(1)).is_empty());
     }
 
     #[test]

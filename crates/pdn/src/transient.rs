@@ -1,9 +1,9 @@
 //! Cycle-resolution transient (di/dt) noise.
 //!
-//! Given a sampled cycle window of load-current multipliers (from
-//! `workload::microtrace`-style generators), the transient voltage
-//! response is the convolution of the per-cycle current steps with an
-//! underdamped impulse-response kernel:
+//! One entry point, [`noise_series`]: given a sampled cycle window of
+//! load-current multipliers (from `workload::microtrace`-style
+//! generators), the transient voltage response is the convolution of the
+//! per-cycle current steps with an underdamped impulse-response kernel:
 //!
 //! ```text
 //! h[k] = Z_eff · cos(2π k / T_ring) · decay(k)
@@ -15,6 +15,10 @@
 //! `response_cycles`), then a fast regulated decay — which is how a
 //! faster regulator (POWER8-style LDO vs. FIVR, Fig. 15) earns its lower
 //! transient noise.
+//!
+//! [`crate::NoiseAnalyzer`] runs this pass once per domain and window; the
+//! peak, the Table 2 emergency residency and the Fig. 14 trace are all
+//! read from the resulting series in [`crate::NoiseReport`].
 
 use crate::config::PdnConfig;
 use simkit::units::{Amps, Hertz, Seconds};
@@ -37,58 +41,19 @@ pub struct TransientParams {
     pub frequency: Hertz,
 }
 
-/// Peak transient noise over a cycle window, as a fraction of Vdd.
+/// The per-cycle transient-noise magnitude over the analysis region of a
+/// window, as fractions of Vdd — the one pass over the impulse kernel.
+/// Its maximum is the transient peak of Figs. 11/14/15; add the static IR
+/// fraction on top for total noise (Table 2 residency, the Fig. 14 trace).
 ///
 /// `multipliers` are per-cycle current multipliers around a mean of 1
 /// (see `workload::microtrace`); the first `warmup` cycles seed the
-/// convolution but are excluded from the peak search.
+/// convolution but are excluded from the series.
 ///
 /// # Panics
 ///
 /// Panics when `n_active` is zero or exceeds `n_total`, or when
 /// `warmup >= multipliers.len()`.
-pub fn peak_transient_fraction(
-    config: &PdnConfig,
-    params: &TransientParams,
-    multipliers: &[f64],
-    warmup: usize,
-) -> f64 {
-    assert!(
-        params.n_active > 0 && params.n_active <= params.n_total,
-        "n_active {} outside [1, {}]",
-        params.n_active,
-        params.n_total
-    );
-    assert!(warmup < multipliers.len(), "warm-up swallows the window");
-
-    let kernel = impulse_kernel(config, params);
-    let i_mean = params.mean_current.get().max(0.0);
-    let vdd = config.vdd.get();
-
-    // Per-cycle current steps.
-    let mut peak = 0.0f64;
-    // Direct convolution: windows are 2 K cycles and kernels O(100), so
-    // this stays cheap.
-    for n in warmup..multipliers.len() {
-        let mut v = 0.0;
-        let k_max = kernel.len().min(n);
-        for (k, &h) in kernel.iter().take(k_max).enumerate() {
-            let idx = n - k;
-            let di = i_mean * (multipliers[idx] - multipliers[idx - 1]);
-            v += h * di;
-        }
-        peak = peak.max(v.abs());
-    }
-    peak / vdd
-}
-
-/// The full per-cycle transient-noise magnitude over the analysis region
-/// of a window, as fractions of Vdd (the Fig. 14-style trace). Add the
-/// static IR fraction on top for total noise.
-///
-/// # Panics
-///
-/// Same preconditions as [`peak_transient_fraction`].
 pub fn noise_series(
     config: &PdnConfig,
     params: &TransientParams,
@@ -105,6 +70,8 @@ pub fn noise_series(
     let kernel = impulse_kernel(config, params);
     let i_mean = params.mean_current.get().max(0.0);
     let vdd = config.vdd.get();
+    // Direct convolution of the per-cycle current steps: windows are 2 K
+    // cycles and kernels O(100), so this stays cheap.
     (warmup..multipliers.len())
         .map(|n| {
             let mut v = 0.0;
@@ -119,30 +86,8 @@ pub fn noise_series(
         .collect()
 }
 
-/// Number of analysis cycles whose total noise (transient + the given
-/// static IR fraction) exceeds `threshold_fraction` of Vdd — the
-/// quantity behind Table 2's "% execution time spent in voltage
-/// emergencies".
-///
-/// # Panics
-///
-/// Same preconditions as [`peak_transient_fraction`].
-pub fn cycles_over(
-    config: &PdnConfig,
-    params: &TransientParams,
-    multipliers: &[f64],
-    warmup: usize,
-    ir_fraction: f64,
-    threshold_fraction: f64,
-) -> usize {
-    noise_series(config, params, multipliers, warmup)
-        .into_iter()
-        .filter(|v| v + ir_fraction > threshold_fraction)
-        .count()
-}
-
 /// The impulse-response kernel for the given configuration.
-pub fn impulse_kernel(config: &PdnConfig, params: &TransientParams) -> Vec<f64> {
+fn impulse_kernel(config: &PdnConfig, params: &TransientParams) -> Vec<f64> {
     let response_cycles = (params.response_time.get() * params.frequency.get()).max(1.0);
     // A regulator that reacts within the first droop (≈ a quarter of the
     // ring period) partially suppresses even the initial undershoot; a
@@ -194,21 +139,27 @@ mod tests {
             .collect()
     }
 
+    /// Peak transient noise of a window: the maximum of its series.
+    fn peak(cfg: &PdnConfig, p: &TransientParams, w: &[f64], warmup: usize) -> f64 {
+        noise_series(cfg, p, w, warmup)
+            .into_iter()
+            .fold(0.0, f64::max)
+    }
+
     #[test]
     fn quiet_window_has_no_noise() {
         let cfg = PdnConfig::default();
         let w = vec![1.0; 2000];
-        let f = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000);
-        assert_eq!(f, 0.0);
+        let series = noise_series(&cfg, &params(9, 15.0), &w, 1000);
+        assert_eq!(series.len(), 1000);
+        assert!(series.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn bigger_steps_make_more_noise() {
         let cfg = PdnConfig::default();
-        let small =
-            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.1), 1000);
-        let large =
-            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.4), 1000);
+        let small = peak(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.1), 1000);
+        let large = peak(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.4), 1000);
         assert!(large > 3.0 * small, "large {large} small {small}");
     }
 
@@ -216,8 +167,8 @@ mod tests {
     fn fewer_active_regulators_mean_more_noise() {
         let cfg = PdnConfig::default();
         let w = step_window(2000, 1500, 0.3);
-        let strong = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000);
-        let weak = peak_transient_fraction(&cfg, &params(2, 15.0), &w, 1000);
+        let strong = peak(&cfg, &params(9, 15.0), &w, 1000);
+        let weak = peak(&cfg, &params(2, 15.0), &w, 1000);
         assert!(weak > 1.5 * strong, "weak {weak} strong {strong}");
     }
 
@@ -227,8 +178,8 @@ mod tests {
         // ring-down that the 15 ns FIVR lets ring.
         let cfg = PdnConfig::default();
         let w = step_window(2000, 1500, 0.3);
-        let fivr = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000);
-        let ldo = peak_transient_fraction(&cfg, &params(9, 0.8), &w, 1000);
+        let fivr = peak(&cfg, &params(9, 15.0), &w, 1000);
+        let ldo = peak(&cfg, &params(9, 0.8), &w, 1000);
         assert!(ldo < fivr, "ldo {ldo} fivr {fivr}");
         assert!(
             ldo > 0.3 * fivr,
@@ -240,10 +191,10 @@ mod tests {
     fn distance_factor_scales_noise_linearly() {
         let cfg = PdnConfig::default();
         let w = step_window(2000, 1500, 0.3);
-        let near = peak_transient_fraction(&cfg, &params(9, 15.0), &w, 1000);
+        let near = peak(&cfg, &params(9, 15.0), &w, 1000);
         let mut p = params(9, 15.0);
         p.distance_factor = 2.0;
-        let far = peak_transient_fraction(&cfg, &p, &w, 1000);
+        let far = peak(&cfg, &p, &w, 1000);
         assert!((far / near - 2.0).abs() < 1e-9);
     }
 
@@ -265,43 +216,26 @@ mod tests {
         // Step well inside warm-up, long before the analysis region: the
         // ring has decayed by cycle 1000, so the peak is near zero.
         let early = step_window(2000, 200, 0.4);
-        let f = peak_transient_fraction(&cfg, &params(9, 15.0), &early, 1000);
-        let direct =
-            peak_transient_fraction(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.4), 1000);
+        let f = peak(&cfg, &params(9, 15.0), &early, 1000);
+        let direct = peak(&cfg, &params(9, 15.0), &step_window(2000, 1500, 0.4), 1000);
         assert!(f < 0.05 * direct, "early {f} direct {direct}");
-    }
-
-    #[test]
-    fn noise_series_peak_matches_peak_function() {
-        let cfg = PdnConfig::default();
-        let p = params(4, 15.0);
-        let w = step_window(2000, 1500, 0.3);
-        let series = noise_series(&cfg, &p, &w, 1000);
-        assert_eq!(series.len(), 1000);
-        let series_peak = series.iter().copied().fold(0.0, f64::max);
-        let peak = peak_transient_fraction(&cfg, &p, &w, 1000);
-        assert!((series_peak - peak).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cycles_over_counts_threshold_crossings() {
-        let cfg = PdnConfig::default();
-        let p = params(2, 15.0);
-        let w = step_window(2000, 1500, 0.4);
-        // With a huge threshold nothing crosses.
-        assert_eq!(cycles_over(&cfg, &p, &w, 1000, 0.0, 10.0), 0);
-        // With a zero threshold and positive IR, every cycle crosses.
-        assert_eq!(cycles_over(&cfg, &p, &w, 1000, 0.05, 0.0), 1000);
-        // Intermediate threshold: some but not all cycles cross.
-        let peak = peak_transient_fraction(&cfg, &p, &w, 1000);
-        let some = cycles_over(&cfg, &p, &w, 1000, 0.0, peak * 0.5);
-        assert!(some > 0 && some < 1000, "crossings {some}");
+        // A step just before the analysis region still rings into it:
+        // warm-up cycles seed the convolution state.
+        let seeded = peak(&cfg, &params(9, 15.0), &step_window(2000, 995, 0.4), 1000);
+        assert!(seeded > 0.5 * direct, "seeded {seeded} direct {direct}");
     }
 
     #[test]
     #[should_panic(expected = "n_active")]
     fn zero_active_panics() {
         let cfg = PdnConfig::default();
-        peak_transient_fraction(&cfg, &params(0, 15.0), &[1.0, 1.0], 0);
+        noise_series(&cfg, &params(0, 15.0), &[1.0, 1.0], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-up swallows the window")]
+    fn warmup_covering_the_window_panics() {
+        let cfg = PdnConfig::default();
+        noise_series(&cfg, &params(9, 15.0), &[1.0, 1.0], 2);
     }
 }

@@ -5,6 +5,7 @@ use floorplan::reference::power8_like;
 use simkit::units::Seconds;
 use thermal::ThermalConfig;
 use thermogater::{EngineConfig, PolicyKind, SimulationEngine};
+use workload::microtrace::{WARMUP_CYCLES, WINDOW_CYCLES};
 use workload::Benchmark;
 
 fn tiny_config() -> EngineConfig {
@@ -98,7 +99,11 @@ fn noise_is_analyzed_for_gating_policies() {
     let max = r.max_noise_percent().expect("noise analyzed");
     assert!(max > 0.0 && max < 60.0, "noise {max}");
     assert!(r.emergency_cycle_fraction().is_some());
-    assert!(r.worst_window_trace().is_some());
+    // OracT has no detector backstop, so the worst window's per-cycle
+    // trace peaks at exactly the worst window's reported noise.
+    let trace = r.worst_window_trace().expect("worst window recorded");
+    assert_eq!(trace.len(), WINDOW_CYCLES - WARMUP_CYCLES);
+    assert_eq!(trace.iter().copied().fold(0.0, f64::max), max);
 }
 
 #[test]
