@@ -11,6 +11,9 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, all targets, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, no deps, warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: release build + tests (default-members = whole workspace) =="
 cargo build --release
 cargo test -q

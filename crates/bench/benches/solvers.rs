@@ -81,7 +81,6 @@ fn thermal_solvers(c: &mut Criterion) {
     // direct-vs-iterative transient comparison comes from these rows.
     for backend in [
         SolverBackend::Direct,
-        SolverBackend::GaussSeidel,
         SolverBackend::Cg,
         SolverBackend::Mgcg,
     ] {

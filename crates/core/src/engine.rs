@@ -1571,7 +1571,6 @@ mod tests {
         // pins warm CG for transient stepping and direct for the PDN IR
         // solves (the measured break-even split — DESIGN.md §11).
         let (transient_event, ir_event) = match engine.config().solver {
-            SolverBackend::GaussSeidel => ("thermal.gs", "pdn.ir_cg"),
             SolverBackend::Cg => ("thermal.transient_cg", "pdn.ir_cg"),
             SolverBackend::Mgcg => ("thermal.transient_mgcg", "pdn.ir_mgcg"),
             SolverBackend::Auto => ("thermal.transient_cg", "pdn.ir_direct"),
@@ -1603,10 +1602,9 @@ mod tests {
             engine.run_trace(&trace, PolicyKind::OracVT).unwrap()
         };
         let direct = run_with(SolverBackend::Direct);
-        let gs = run_with(SolverBackend::GaussSeidel);
         let cg = run_with(SolverBackend::Cg);
         let mgcg = run_with(SolverBackend::Mgcg);
-        for (name, other) in [("gs", &gs), ("cg", &cg), ("mgcg", &mgcg)] {
+        for (name, other) in [("cg", &cg), ("mgcg", &mgcg)] {
             let dt = (direct.max_temperature().get() - other.max_temperature().get()).abs();
             assert!(dt < 1e-2, "direct vs {name} T_max gap {dt} °C");
             let dn =

@@ -53,7 +53,7 @@ pub enum Verdict {
 /// One compared metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDelta {
-    /// Metric name, e.g. `"solver.thermal.gs.iters_p95"`.
+    /// Metric name, e.g. `"solver.thermal.transient_cg.iters_p95"`.
     pub metric: String,
     /// Baseline value.
     pub a: f64,
@@ -216,20 +216,16 @@ pub const PHYS_TOL: f64 = 1e-6;
 
 /// Backend-stripped canonical solver-site name: `thermal.steady_cg`,
 /// `thermal.steady_mgcg`, and `thermal.steady_direct` all solve the
-/// steady conductance system, and `thermal.gs` / `thermal.transient_cg`
-/// / `thermal.transient_mgcg` / `thermal.transient_direct` all solve
-/// the backward-Euler step — a cross-backend diff matches sites by
-/// *what* they solve, not how. (`_mgcg` strips before `_cg`: the
-/// suffixes overlap.)
+/// steady conductance system, and `thermal.transient_cg` /
+/// `thermal.transient_mgcg` / `thermal.transient_direct` all solve the
+/// backward-Euler step — a cross-backend diff matches sites by *what*
+/// they solve, not how. (`_mgcg` strips before `_cg`: the suffixes
+/// overlap.)
 fn canonical_site(name: &str) -> &str {
-    match name {
-        "thermal.gs" => "thermal.transient",
-        _ => name
-            .strip_suffix("_mgcg")
-            .or_else(|| name.strip_suffix("_cg"))
-            .or_else(|| name.strip_suffix("_direct"))
-            .unwrap_or(name),
-    }
+    name.strip_suffix("_mgcg")
+        .or_else(|| name.strip_suffix("_cg"))
+        .or_else(|| name.strip_suffix("_direct"))
+        .unwrap_or(name)
 }
 
 /// Unions the names of two ordered name-keyed slices, preserving `a`'s
@@ -909,9 +905,9 @@ mod tests {
 
     #[test]
     fn solver_agnostic_diff_matches_sites_across_backends() {
-        // A GS run and a direct run: different site names, different
+        // A CG run and a direct run: different site names, different
         // iteration counts, temperatures agreeing to solver tolerance.
-        let a = backend_analysis("thermal.gs", 63.5, 4);
+        let a = backend_analysis("thermal.transient_cg", 63.5, 4);
         let b = backend_analysis("thermal.transient_direct", 63.5 + 1e-7, 4);
 
         // The default (bit-tight) diff flags the renamed site and the

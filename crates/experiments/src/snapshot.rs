@@ -38,7 +38,7 @@ pub const SNAPSHOT_BENCH: Benchmark = Benchmark::LuNcb;
 /// entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverSnapshot {
-    /// Solve site, e.g. `"thermal.gs"`.
+    /// Solve site, e.g. `"thermal.transient_cg"`.
     pub site: String,
     /// Number of solves recorded.
     pub solves: u64,
@@ -318,7 +318,7 @@ pub fn measure_telemetry_overhead() -> Result<TelemetryOverhead, String> {
 }
 
 /// Measures the live-aggregation overhead axis: the pinned fast-config
-/// workload once with a [`LiveSink`] fanned in next to the recorder
+/// workload once with a [`LiveSink`](simkit::telemetry::live::LiveSink) fanned in next to the recorder
 /// sink, once with the recorder alone. The live run's sink provides
 /// the deterministic folded-event count and its self-timed fold cost —
 /// the same numbers a `--live` run writes into its trace as
@@ -480,10 +480,8 @@ pub fn capture(label: &str, policies: &[PolicyKind]) -> Result<BenchSnapshot, St
     })
 }
 
-/// Backends the grid-scaling axis measures. Gauss–Seidel is absent
-/// because the steady path has no distinct GS solver: a pinned
-/// `GaussSeidel` backend routes steady solves through Jacobi-CG (GS is a
-/// transient-stepper backend — see `thermal::model`).
+/// Backends the grid-scaling axis measures: every pinned backend
+/// (`Auto` resolves to one of these per call site).
 pub const SCALING_BACKENDS: [SolverBackend; 3] = [
     SolverBackend::Cg,
     SolverBackend::Mgcg,

@@ -13,7 +13,7 @@
 //! directory to force re-runs wholesale.
 //!
 //! [`grid`] streams the cells through the
-//! [`service`](crate::service) batch executor: each cell is an
+//! [`service`] batch executor: each cell is an
 //! independent simulation (its engine, thermal model, and PDN are built
 //! thread-locally), workers steal from a bounded queue, and the grid
 //! completes in roughly `cells / min(threads, cells)` serial-cell
@@ -220,7 +220,7 @@ fn heartbeat(ctx: Option<&TelemetryCtx>, done: usize, total: usize) {
 /// All records of a benchmark × policy grid (content-addressed cache
 /// per cell), in benchmark-major order.
 ///
-/// Cells stream through the [`service`](crate::service) batch
+/// Cells stream through the [`service`] batch
 /// executor on [`ExpOptions::resolved_threads`] workers: cached hashes
 /// never touch the engine, every missing hash is simulated by exactly
 /// one worker (identical in-flight cells coalesce), and the records

@@ -47,9 +47,11 @@ use crate::error::{Error, Result};
 ///   warm iterative step converges in a handful of iterations and beats
 ///   streaming the full factor through a triangular solve.
 ///
-/// The `SIMKIT_SOLVER` environment variable (`auto | direct | cg | gs`)
+/// The `SIMKIT_SOLVER` environment variable (`auto | direct | cg | mgcg`)
 /// overrides the configured value everywhere a config constructor
-/// consults [`SolverBackend::env_default`].
+/// consults [`SolverBackend::env_default`]; any other non-empty value
+/// panics there, before a simulation can run on a backend nobody asked
+/// for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverBackend {
     /// Pick per call site: direct where measurement says factoring wins
@@ -65,9 +67,6 @@ pub enum SolverBackend {
     /// iteration counts, the backend of choice for grids an order of
     /// magnitude finer than the paper's configs.
     Mgcg,
-    /// Colored Gauss–Seidel sweeps (transient stepping only; steady and
-    /// PDN solves fall back to CG, which shares their tolerances).
-    GaussSeidel,
 }
 
 /// Break-even solve count for [`SolverBackend::Auto`]: a scratch that has
@@ -85,6 +84,14 @@ pub enum SolverBackend {
 pub const DIRECT_BREAK_EVEN: usize = 24;
 
 impl SolverBackend {
+    /// Every backend, in the order the `SIMKIT_SOLVER` error lists them.
+    const ALL: [SolverBackend; 4] = [
+        SolverBackend::Auto,
+        SolverBackend::Direct,
+        SolverBackend::Cg,
+        SolverBackend::Mgcg,
+    ];
+
     /// Parses a backend name as accepted by `SIMKIT_SOLVER`.
     pub fn parse(text: &str) -> Option<Self> {
         match text.trim().to_ascii_lowercase().as_str() {
@@ -92,17 +99,33 @@ impl SolverBackend {
             "direct" | "ldlt" => Some(SolverBackend::Direct),
             "cg" => Some(SolverBackend::Cg),
             "mgcg" | "multigrid" => Some(SolverBackend::Mgcg),
-            "gs" | "gauss-seidel" | "gauss_seidel" => Some(SolverBackend::GaussSeidel),
             _ => None,
         }
     }
 
     /// The backend requested by the `SIMKIT_SOLVER` environment variable,
-    /// or `None` when unset or unparseable.
+    /// or `None` when it is unset or empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the variable holds a value [`SolverBackend::parse`]
+    /// rejects; the message names the value and the accepted backends.
     pub fn from_env() -> Option<Self> {
-        std::env::var("SIMKIT_SOLVER")
-            .ok()
-            .and_then(|v| Self::parse(&v))
+        Self::from_setting(&std::env::var_os("SIMKIT_SOLVER")?.to_string_lossy())
+    }
+
+    /// [`SolverBackend::from_env`] on an explicit value.
+    fn from_setting(value: &str) -> Option<Self> {
+        if value.trim().is_empty() {
+            return None;
+        }
+        let backend = Self::parse(value).unwrap_or_else(|| {
+            panic!(
+                "SIMKIT_SOLVER={value:?} is not a solver backend; expected one of {}",
+                Self::ALL.map(Self::name).join("|")
+            )
+        });
+        Some(backend)
     }
 
     /// Default for config constructors: the `SIMKIT_SOLVER` override when
@@ -118,7 +141,6 @@ impl SolverBackend {
             SolverBackend::Direct => "direct",
             SolverBackend::Cg => "cg",
             SolverBackend::Mgcg => "mgcg",
-            SolverBackend::GaussSeidel => "gs",
         }
     }
 }
@@ -145,9 +167,10 @@ fn hub_threshold(n: usize) -> usize {
 /// The algorithm maintains the explicit elimination graph: eliminating
 /// the minimum-degree node connects its neighbours into a clique. Ties
 /// break on the lower node index, so the ordering is deterministic. Rows
-/// whose degree reaches [`hub_threshold`] are pinned after all ordinary
-/// rows (in index order); grid stencils never get there, so for the
-/// thermal and PDN matrices this only moves the dense sink row last.
+/// whose degree reaches the hub threshold `max(16, √n)` are pinned after
+/// all ordinary rows (in index order); grid stencils never get there, so
+/// for the thermal and PDN matrices this only moves the dense sink row
+/// last.
 pub fn min_degree_ordering(matrix: &CsrMatrix) -> Vec<usize> {
     let n = matrix.rows();
     let threshold = hub_threshold(n);
@@ -905,23 +928,25 @@ mod tests {
         assert_eq!(SolverBackend::parse("direct"), Some(SolverBackend::Direct));
         assert_eq!(SolverBackend::parse("LDLT"), Some(SolverBackend::Direct));
         assert_eq!(SolverBackend::parse(" cg "), Some(SolverBackend::Cg));
-        assert_eq!(
-            SolverBackend::parse("gauss-seidel"),
-            Some(SolverBackend::GaussSeidel)
-        );
+        assert_eq!(SolverBackend::parse("gs"), None);
+        assert_eq!(SolverBackend::parse("gauss-seidel"), None);
         assert_eq!(SolverBackend::parse("auto"), Some(SolverBackend::Auto));
         assert_eq!(SolverBackend::parse("mgcg"), Some(SolverBackend::Mgcg));
         assert_eq!(SolverBackend::parse("Multigrid"), Some(SolverBackend::Mgcg));
         assert_eq!(SolverBackend::parse("nope"), None);
         assert_eq!(SolverBackend::default(), SolverBackend::Auto);
-        for b in [
-            SolverBackend::Auto,
-            SolverBackend::Direct,
-            SolverBackend::Cg,
-            SolverBackend::Mgcg,
-            SolverBackend::GaussSeidel,
-        ] {
+        for b in SolverBackend::ALL {
             assert_eq!(SolverBackend::parse(b.name()), Some(b));
         }
+    }
+
+    #[test]
+    fn env_setting_empty_means_unset() {
+        assert_eq!(SolverBackend::from_setting(""), None);
+        assert_eq!(SolverBackend::from_setting("  "), None);
+        assert_eq!(
+            SolverBackend::from_setting("mgcg"),
+            Some(SolverBackend::Mgcg)
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! The [`telemetry`](crate::telemetry) module *emits* structured traces;
 //! this module *consumes* them. A [`TraceReader`] streams a
 //! `trace.jsonl` file line by line through the hand-rolled
-//! [`json`] parser (skipping corrupt interior lines and recovering from
+//! [`json`](super::json) parser (skipping corrupt interior lines and recovering from
 //! a truncated final line, so a trace cut mid-write still analyzes), and
 //! a [`TraceAnalysis`] folds the event stream into:
 //!
@@ -412,7 +412,7 @@ impl SpanStats {
     }
 }
 
-/// Solver-convergence rollup for one solve site (`thermal.gs`,
+/// Solver-convergence rollup for one solve site (`thermal.transient_cg`,
 /// `pdn.ir_cg`, …): iteration-count and final-residual distributions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolverRollup {

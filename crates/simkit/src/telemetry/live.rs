@@ -11,7 +11,7 @@
 //!   multi-quantile extension) marker grid: thirteen markers tracking
 //!   several quantiles jointly in O(1) memory and O(1) update, exact
 //!   for the first thirteen observations and validated against the
-//!   exact [`stats::percentile`](crate::stats::percentile) in tests.
+//!   exact [`stats::percentile`] in tests.
 //!   The dense grid keeps every reported quantile's interpolation
 //!   bracket narrow, which is what lets the estimate survive bimodal
 //!   gaps and heavy tails that defeat the classic five-marker form;
@@ -55,7 +55,8 @@ const MARKERS: usize = MARKER_Q.len();
 /// Streaming multi-quantile estimator via the extended P² algorithm
 /// (Jain & Chlamtac, CACM 1985; Raatikainen's simultaneous-quantile
 /// extension): a fixed grid of thirteen markers whose heights converge
-/// on the [`MARKER_Q`] quantiles without storing the sample.
+/// on thirteen fixed quantiles (0, 0.125, …, 0.99, 1) without storing
+/// the sample.
 ///
 /// The first thirteen observations are kept verbatim, so estimates for
 /// n ≤ 13 equal the exact linear-interpolated percentile. Beyond that

@@ -76,7 +76,7 @@ pub struct CellManifest {
 /// The per-run manifest written next to a JSONL trace.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunManifest {
-    /// Name of the producing binary (`simulate`, `probe`, a fig bin…).
+    /// Name of the producing binary (`simulate`, `tg-verify`, a fig bin…).
     pub created_by: String,
     /// Resolved configuration, in insertion order.
     pub config: Vec<(String, String)>,

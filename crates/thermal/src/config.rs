@@ -123,8 +123,8 @@ pub struct ThermalConfig {
     /// after the break-even solve count, while transient steppers keep
     /// warm-started CG (the `C/Δt`-dominated system makes an iterative
     /// step cheaper than a triangular solve — BENCH.md). `Direct` pins
-    /// the factored path everywhere, `Cg`/`GaussSeidel` the iterative
-    /// solvers.
+    /// the factored path everywhere, `Cg` Jacobi-preconditioned CG, and
+    /// `Mgcg` multigrid-preconditioned CG.
     pub solver: SolverBackend,
 }
 

@@ -6,9 +6,9 @@ use crate::state::ThermalState;
 use floorplan::{BlockId, Floorplan, VrId};
 use simkit::linalg::multigrid::MGCG_MIN_NODES;
 use simkit::linalg::{
-    CgWorkspace, CsrMatrix, GridGeometry, GsWorkspace, JacobiPreconditioner, LdltFactor,
-    LdltWorkspace, MultigridPreconditioner, Preconditioner, SolveStats, SolverBackend,
-    TripletBuilder, DIRECT_BREAK_EVEN,
+    CgWorkspace, CsrMatrix, GridGeometry, JacobiPreconditioner, LdltFactor, LdltWorkspace,
+    MultigridPreconditioner, Preconditioner, SolveStats, SolverBackend, TripletBuilder,
+    DIRECT_BREAK_EVEN,
 };
 use simkit::perf::SolverAgg;
 use simkit::telemetry::Telemetry;
@@ -176,8 +176,8 @@ impl ThermalModel {
     }
 
     /// Installs a telemetry handle; steady solves emit
-    /// `thermal.steady_cg` solve events and steppers created afterwards
-    /// emit per-step `thermal.gs` solve events plus a
+    /// `thermal.steady_*` solve events and steppers created afterwards
+    /// emit per-step `thermal.transient_*` solve events plus a
     /// `thermal.max_silicon_c` hotspot gauge.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
@@ -358,7 +358,7 @@ impl ThermalModel {
             && match self.config.solver {
                 SolverBackend::Direct => true,
                 SolverBackend::Auto => solves_so_far >= DIRECT_BREAK_EVEN,
-                SolverBackend::Cg | SolverBackend::Mgcg | SolverBackend::GaussSeidel => false,
+                SolverBackend::Cg | SolverBackend::Mgcg => false,
             };
         if use_mgcg {
             let setup_started = Instant::now();
@@ -527,9 +527,6 @@ impl ThermalModel {
                 factor: LdltFactor::new(&a).expect("backward-Euler system is SPD"),
                 ws: LdltWorkspace::new(),
             },
-            SolverBackend::GaussSeidel => TransientSolver::Gs {
-                ws: GsWorkspace::new(&a).expect("backward-Euler system has a full diagonal"),
-            },
             SolverBackend::Mgcg => TransientSolver::Mgcg {
                 pre: Box::new(
                     MultigridPreconditioner::new(&a, self.grid_geometry())
@@ -632,8 +629,6 @@ enum TransientSolver {
         factor: LdltFactor,
         ws: LdltWorkspace,
     },
-    /// Multicolor Gauss–Seidel ordering and cached diagonal.
-    Gs { ws: GsWorkspace },
     /// Jacobi preconditioner and CG scratch, warm-started per step.
     Cg {
         pre: JacobiPreconditioner,
@@ -652,7 +647,6 @@ impl TransientSolver {
     fn event_name(&self) -> &'static str {
         match self {
             TransientSolver::Direct { .. } => "thermal.transient_direct",
-            TransientSolver::Gs { .. } => "thermal.gs",
             TransientSolver::Cg { .. } => "thermal.transient_cg",
             TransientSolver::Mgcg { .. } => "thermal.transient_mgcg",
         }
@@ -662,7 +656,6 @@ impl TransientSolver {
     fn backend_name(&self) -> &'static str {
         match self {
             TransientSolver::Direct { .. } => SolverBackend::Direct.name(),
-            TransientSolver::Gs { .. } => SolverBackend::GaussSeidel.name(),
             TransientSolver::Cg { .. } => SolverBackend::Cg.name(),
             TransientSolver::Mgcg { .. } => SolverBackend::Mgcg.name(),
         }
@@ -673,7 +666,7 @@ impl TransientSolver {
 /// a fixed step size.
 ///
 /// The system matrix `G + C/Δt`, its per-backend solver state (LDLᵀ
-/// factor, Gauss–Seidel ordering, or CG preconditioner — see
+/// factor, or Jacobi or multigrid CG preconditioner — see
 /// [`ThermalConfig::solver`]), and the right-hand-side buffer are all
 /// built once here, so [`TransientStepper::step`] performs no heap
 /// allocation — the inner loop of every simulation run.
@@ -697,8 +690,8 @@ impl TransientStepper<'_> {
     }
 
     /// Telemetry event name this stepper's solves are reported under
-    /// (`thermal.transient_direct`, `thermal.gs`, or
-    /// `thermal.transient_cg`).
+    /// (`thermal.transient_direct`, `thermal.transient_cg`, or
+    /// `thermal.transient_mgcg`).
     pub fn solve_event_name(&self) -> &'static str {
         self.solver.event_name()
     }
@@ -731,14 +724,6 @@ impl TransientStepper<'_> {
                 factor.solve_into(&self.rhs, state.raw_mut(), ws)?;
                 LdltFactor::stats_for(&self.system, &self.rhs, state.raw())
             }
-            TransientSolver::Gs { ws } => self.system.solve_gauss_seidel_colored(
-                &self.rhs,
-                state.raw_mut(),
-                ws,
-                1.1,
-                1e-7,
-                2_000,
-            )?,
             // The sink node's C/Δt term dominates ‖b‖, so the relative
             // tolerance must be far below the steady 1e-10 to bound the
             // *absolute* temperature error on silicon nodes.
@@ -961,7 +946,6 @@ mod tests {
         let mut states = Vec::new();
         for backend in [
             SolverBackend::Direct,
-            SolverBackend::GaussSeidel,
             SolverBackend::Cg,
             SolverBackend::Mgcg,
         ] {
@@ -989,7 +973,7 @@ mod tests {
             states.push(state);
         }
         let direct = &states[0];
-        for (other, name) in states[1..].iter().zip(["gs", "cg", "mgcg"]) {
+        for (other, name) in states[1..].iter().zip(["cg", "mgcg"]) {
             let gap = direct.max_abs_difference(other);
             assert!(gap < 1e-4, "direct vs {name} diverged by {gap} °C");
         }

@@ -13,7 +13,7 @@
 //! 0.55,0.47,...,0.11
 //! ```
 //!
-//! One row per sample instant, one column per [`BlockId`] in floorplan
+//! One row per sample instant, one column per [`BlockId`](floorplan::BlockId) in floorplan
 //! order, activities in `[0, 1]`.
 
 use crate::mix::WorkloadSpec;
