@@ -26,7 +26,7 @@ cargo run --release -q -p experiments --bin simulate -- \
     --frames 25 --quiet --telemetry="$TELEMETRY_DIR"
 test -s "$TELEMETRY_DIR/trace.jsonl"
 test -s "$TELEMETRY_DIR/manifest.json"
-cargo run --release -q -p experiments --bin telemetry_check -- "$TELEMETRY_DIR" \
+cargo run --release -q -p experiments --bin tg-obs -- validate "$TELEMETRY_DIR" \
     --require span_start,span_end,counter,gauge,histogram,gating,emergency,solve,progress,frame
 
 echo "== tg-obs: summarize, export, self-diff (must be zero-drift) =="
@@ -48,9 +48,12 @@ for w in wa wb; do
     cargo run --release -q -p experiments --bin simulate -- \
         --bench lu_ncb --policy oracvt --duration-ms 3 --grid 32 --windows 4 \
         --frames 25 --quiet --live --telemetry="$TELEMETRY_DIR/$w/run"
-    # The live sink self-reports its cost into the trace it audits.
+    # The live sink self-reports its cost into the trace it audits,
+    # and the self-report keeps the trace valid.
     grep -q '"telemetry.live.events"' "$TELEMETRY_DIR/$w/run/trace.jsonl"
     grep -q '"telemetry.live.overhead"' "$TELEMETRY_DIR/$w/run/trace.jsonl"
+    "$TG_OBS" validate "$TELEMETRY_DIR/$w/run" \
+        --require span_start,span_end,counter,gauge,histogram,gating,emergency,solve,progress,frame
 done
 for w in wa wb; do
     (cd "$TELEMETRY_DIR/$w" && "$TG_OBS" watch run --once \
@@ -128,6 +131,9 @@ grep -q 'scenarios=112 hits=0 misses=112' "$SERVE_DIR/cold.err"
     > "$SERVE_DIR/warm.txt" 2> "$SERVE_DIR/warm.err"
 cmp "$SERVE_DIR/cold.txt" "$SERVE_DIR/warm.txt"
 grep -q 'scenarios=112 hits=112 misses=0 coalesced=0 invalid=0' "$SERVE_DIR/warm.err"
+# The cold trace interleaves 112 cells on their own tracks; it must
+# still satisfy the trace contract (per-track span pairing included).
+"$TG_OBS" validate "$SERVE_DIR/cold" --require span_start,span_end,gating,solve
 # The warm trace itself proves zero engine runs.
 grep -q '"name":"serve.misses","delta":0' "$SERVE_DIR/warm/trace.jsonl"
 grep -q '"name":"serve.hits","delta":112' "$SERVE_DIR/warm/trace.jsonl"

@@ -1,6 +1,6 @@
 //! Telemetry overhead: the acceptance bar is that a run with the no-op
 //! sink installed stays within 1 % of a run with telemetry disabled
-//! (the default), while the full JSONL + metrics pipeline is measured
+//! (the default), while the full JSONL + live-aggregation pipeline is measured
 //! separately to quantify the cost of actually recording, and the
 //! spatial frame recorder's extra cost on top of that pipeline is
 //! measured as its own row.
@@ -8,10 +8,8 @@
 use bench::bench_config;
 use criterion::{criterion_group, criterion_main, Criterion};
 use floorplan::reference::power8_like;
-use simkit::telemetry::{
-    CountingSink, FanoutSink, JsonlSink, MetricsRegistry, MetricsSink, NoopSink, Telemetry,
-    TelemetrySink,
-};
+use simkit::telemetry::live::LiveSink;
+use simkit::telemetry::{CountingSink, FanoutSink, JsonlSink, NoopSink, Telemetry, TelemetrySink};
 use std::hint::black_box;
 use std::sync::Arc;
 use thermogater::{EngineConfig, PolicyKind, SimulationEngine};
@@ -50,17 +48,16 @@ fn telemetry_overhead(c: &mut Criterion) {
         b.iter(|| traced_run(Telemetry::with_sink(Arc::new(NoopSink))))
     });
 
-    // Full pipeline: JSONL file + metrics registry + event counter —
-    // what `--telemetry=<dir>` installs.
+    // Full pipeline: JSONL file + bounded in-process aggregate + event
+    // counter — what `--telemetry=<dir>` installs.
     group.bench_function("jsonl_metrics", |b| {
         let dir = std::env::temp_dir().join(format!("tg-bench-telemetry-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         b.iter(|| {
             let jsonl = Arc::new(JsonlSink::create(&dir.join("trace.jsonl")).unwrap());
-            let registry = Arc::new(MetricsRegistry::new());
             let fanout = Arc::new(FanoutSink::new(vec![
                 jsonl as Arc<dyn TelemetrySink>,
-                Arc::new(MetricsSink::new(registry)),
+                Arc::new(LiveSink::new()),
             ]));
             let counter = Arc::new(CountingSink::new(fanout as Arc<dyn TelemetrySink>));
             traced_run(Telemetry::with_sink(counter));
@@ -78,10 +75,9 @@ fn telemetry_overhead(c: &mut Criterion) {
         std::fs::create_dir_all(&dir).unwrap();
         b.iter(|| {
             let jsonl = Arc::new(JsonlSink::create(&dir.join("trace.jsonl")).unwrap());
-            let registry = Arc::new(MetricsRegistry::new());
             let fanout = Arc::new(FanoutSink::new(vec![
                 jsonl as Arc<dyn TelemetrySink>,
-                Arc::new(MetricsSink::new(registry)),
+                Arc::new(LiveSink::new()),
             ]));
             let counter = Arc::new(CountingSink::new(fanout as Arc<dyn TelemetrySink>));
             traced_run_with_frames(Telemetry::with_sink(counter), 50);

@@ -346,7 +346,7 @@ fn main() -> ExitCode {
         );
     }
     if let Some(ctx) = &telemetry_ctx {
-        let metrics = metrics_report(ctx.registry());
+        let metrics = metrics_report(&ctx.analysis());
         if !metrics.is_empty() {
             print!("\ntelemetry metrics:\n{metrics}");
         }

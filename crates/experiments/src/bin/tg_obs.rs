@@ -8,6 +8,7 @@
 //!
 //! ```text
 //! tg-obs summarize <run-dir>                  # human-readable report
+//! tg-obs validate <run-dir> [--require k,k]   # trace/manifest checks
 //! tg-obs export <run-dir> [--out <csv>]       # CSV time series
 //! tg-obs timeline <run-dir> [--out <json>]    # Chrome-trace / Perfetto
 //! tg-obs flame <run-dir> [--out <txt>]        # collapsed stacks
@@ -17,18 +18,22 @@
 //! ```
 //!
 //! `diff` exits non-zero when a gated metric regresses beyond its
-//! tolerance, so it can guard CI.
+//! tolerance, and `validate` when a trace breaks its contract, so both
+//! can guard CI.
 
 use experiments::obs::{diff_analyses, diff_manifests, diff_snapshots, DiffConfig, DiffReport};
 use experiments::report::{analysis_json, analysis_report};
 use experiments::snapshot::{self, BenchSnapshot};
 use experiments::sweep::policy_from_tag;
-use simkit::telemetry::analyze::{series_points, TraceAnalysis, TraceReader, TraceTailer};
-use simkit::telemetry::live::LiveStats;
+use simkit::telemetry::analyze::{
+    series_points, ParsedEvent, TraceAnalysis, TraceReader, TraceTailer,
+};
 use simkit::telemetry::manifest::{RunManifest, MANIFEST_FILE, TRACE_FILE};
 use simkit::telemetry::prof::Profile;
 use simkit::telemetry::rules::{RuleSet, Severity};
 use simkit::telemetry::timeline;
+use simkit::telemetry::EventKind;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -44,6 +49,19 @@ USAGE:
         durations, solver convergence, gating churn, emergency rates.
         --json writes one stable-key-order JSON document (schema
         thermogater.summary/v1) instead of the human tables.
+
+    tg-obs validate <run-dir> [--require <kind,kind>] [--mono-slack <s>]
+        Check a run directory against the trace contract: manifest.json
+        parses (schema, config hash, event totals), every trace.jsonl
+        line is a well-formed event (known kind, finite t, non-empty
+        name, integer track), the line count equals the manifest's
+        events_total, every span_end closes an open span_start of the
+        same name on the same track and none stays open, and timestamps
+        never step back by more than --mono-slack seconds (default 0.1;
+        skipped when the manifest lists several cells, whose workers
+        interleave). --require names event kinds that must each appear
+        (span_start span_end counter gauge histogram gating emergency
+        solve progress frame). Exits 1 on the first violation.
 
     tg-obs watch <run-dir> [--once] [--rules <file.json>]
                  [--status-every <n>] [--interval-ms <n>] [--timeout-s <n>]
@@ -127,6 +145,7 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("summarize") => cmd_summarize(&args[1..]),
+        Some("validate") => cmd_validate(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
         Some("check") => cmd_check(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
@@ -222,28 +241,172 @@ fn render_summarize(input: &Path) -> Result<String, String> {
     Ok(text)
 }
 
+fn cmd_validate(args: &[String]) -> Result<ExitCode, String> {
+    let usage = "usage: tg-obs validate <run-dir> [--require <kind,kind>] [--mono-slack <s>]";
+    let mut run_dir: Option<&str> = None;
+    let mut require = Vec::new();
+    let mut mono_slack = 0.1;
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let list = match arg.as_str() {
+            "--require" => Some(
+                iter.next()
+                    .ok_or_else(|| format!("--require expects a value\n\n{usage}"))?
+                    .as_str(),
+            ),
+            "--mono-slack" => {
+                let value = iter
+                    .next()
+                    .ok_or_else(|| format!("--mono-slack expects seconds\n\n{usage}"))?;
+                mono_slack = value
+                    .parse()
+                    .map_err(|e| format!("bad --mono-slack: {e}\n\n{usage}"))?;
+                None
+            }
+            other => match other.strip_prefix("--require=") {
+                Some(list) => Some(list),
+                None if run_dir.is_none() && !other.starts_with('-') => {
+                    run_dir = Some(other);
+                    None
+                }
+                None => return Err(format!("unexpected argument `{other}`\n\n{usage}")),
+            },
+        };
+        for tag in list
+            .into_iter()
+            .flat_map(|l| l.split(','))
+            .filter(|t| !t.is_empty())
+        {
+            require.push(EventKind::parse(tag).ok_or_else(|| format!("unknown kind {tag:?}"))?);
+        }
+    }
+    let Some(run_dir) = run_dir else {
+        return Err(format!("{usage}\n\n{USAGE}"));
+    };
+    let dir = Path::new(run_dir);
+    match validate_run(dir, &require, mono_slack) {
+        Ok((lines, kinds)) => {
+            println!(
+                "ok: {lines} valid events across {kinds} kinds in {} (spans paired, timestamps ordered)",
+                dir.display()
+            );
+            Ok(ExitCode::SUCCESS)
+        }
+        Err(msg) => {
+            eprintln!("tg-obs validate: {msg}");
+            Ok(ExitCode::FAILURE)
+        }
+    }
+}
+
+/// Checks one run directory against the trace contract (see the
+/// `validate` usage); returns the event count and the number of
+/// distinct kinds seen, or the first violation.
+fn validate_run(
+    dir: &Path,
+    require: &[EventKind],
+    mono_slack: f64,
+) -> Result<(u64, usize), String> {
+    let manifest_path = dir.join(MANIFEST_FILE);
+    let manifest_text = std::fs::read_to_string(&manifest_path)
+        .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
+    // `from_json` re-checks the schema tag, config hash, and event total.
+    let manifest = RunManifest::from_json(manifest_text.trim())
+        .map_err(|e| format!("{}: {e}", manifest_path.display()))?;
+
+    let trace_path = dir.join(TRACE_FILE);
+    let trace = std::fs::read_to_string(&trace_path)
+        .map_err(|e| format!("cannot read {}: {e}", trace_path.display()))?;
+    // Parallel sweep cells interleave their (per-handle-epoch)
+    // timestamps arbitrarily; only single-cell traces are ordered.
+    let check_mono = manifest.cells.len() <= 1;
+    let mut seen = BTreeSet::new();
+    let mut lines = 0u64;
+    // Keyed by (track, name): parallel workers pair independently.
+    let mut open_spans: BTreeMap<(u64, String), u64> = BTreeMap::new();
+    let mut prev_t = f64::NEG_INFINITY;
+    for (i, line) in trace.lines().enumerate() {
+        let at = |e: String| format!("{TRACE_FILE}:{}: {e}", i + 1);
+        let event = ParsedEvent::from_line(line).map_err(at)?;
+        // Cell handles stamp a `track`; the run-level handle omits it.
+        let track = match event.field("track") {
+            None => 0,
+            Some(v) => v
+                .as_f64()
+                .filter(|t| t.is_finite() && *t >= 0.0 && t.fract() == 0.0)
+                .ok_or_else(|| at("field \"track\" is not a non-negative integer".into()))?
+                as u64,
+        };
+        let (kind, t, name) = (event.kind, event.t_s, event.name);
+        match kind {
+            EventKind::SpanStart => *open_spans.entry((track, name)).or_insert(0) += 1,
+            EventKind::SpanEnd => {
+                let depth = open_spans
+                    .get_mut(&(track, name.clone()))
+                    .filter(|d| **d > 0)
+                    .ok_or_else(|| {
+                        at(format!(
+                            "span_end {name:?} on track {track} without a matching span_start"
+                        ))
+                    })?;
+                *depth -= 1;
+            }
+            _ => {}
+        }
+        if check_mono && t + mono_slack < prev_t {
+            return Err(at(format!(
+                "timestamp went backwards: {t:.6}s after {prev_t:.6}s (slack {mono_slack}s)"
+            )));
+        }
+        prev_t = prev_t.max(t);
+        seen.insert(kind.as_str());
+        lines += 1;
+    }
+    let unclosed: Vec<String> = open_spans
+        .iter()
+        .filter(|(_, depth)| **depth > 0)
+        .map(|((track, name), _)| format!("{name} (track {track})"))
+        .collect();
+    if !unclosed.is_empty() {
+        return Err(format!(
+            "{} span(s) never closed: {}",
+            unclosed.len(),
+            unclosed.join(", ")
+        ));
+    }
+    if lines != manifest.total_events() {
+        return Err(format!(
+            "event count mismatch: {} trace lines vs events_total {}",
+            lines,
+            manifest.total_events()
+        ));
+    }
+    for kind in require {
+        if !seen.contains(kind.as_str()) {
+            return Err(format!(
+                "required event kind {:?} never appears",
+                kind.as_str()
+            ));
+        }
+    }
+    Ok((lines, seen.len()))
+}
+
 fn load_rules(path: &str) -> Result<RuleSet, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read rules file {path}: {e}"))?;
     RuleSet::from_json(&text).map_err(|e| format!("invalid rules file {path}: {e}"))
 }
 
-/// Folds a finished trace into the same streaming aggregates `watch`
+/// Folds a finished trace into the same bounded aggregate `watch`
 /// maintains incrementally.
-fn live_stats_from_trace(input: &Path) -> Result<LiveStats, String> {
+fn bounded_analysis(input: &Path) -> Result<TraceAnalysis, String> {
     let trace = trace_path(input);
-    let mut reader =
-        TraceReader::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
-    let mut stats = LiveStats::new();
-    while let Some(event) = reader
-        .next_event()
-        .map_err(|e| format!("cannot read {}: {e}", trace.display()))?
-    {
-        stats.observe(&event);
-    }
-    stats.malformed_lines = reader.malformed_lines();
-    stats.truncated = reader.truncated();
-    Ok(stats)
+    let file =
+        std::fs::File::open(&trace).map_err(|e| format!("cannot open {}: {e}", trace.display()))?;
+    TraceAnalysis::bounded()
+        .read_from(std::io::BufReader::new(file))
+        .map_err(|e| format!("cannot read {}: {e}", trace.display()))
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
@@ -269,7 +432,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         return Err(format!("{usage}\n\n{USAGE}"));
     };
     let rules = load_rules(rules_path)?;
-    let stats = live_stats_from_trace(Path::new(run_dir))?;
+    let stats = bounded_analysis(Path::new(run_dir))?;
     let report = rules.evaluate(&stats);
     print!("{}", report.render());
     let gate = if strict {
@@ -291,8 +454,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 /// the trace prefix folded so far — counts and aggregates only, never
 /// wall-clock times — so two watches of identical runs render
 /// identical lines.
-fn watch_status(stats: &LiveStats, rules: Option<&RuleSet>) -> String {
-    use simkit::telemetry::EventKind;
+fn watch_status(stats: &TraceAnalysis, rules: Option<&RuleSet>) -> String {
     let mut line = format!(
         "[watch] events={} decisions={} churn={} solves={} emergencies={} progress={}",
         stats.events,
@@ -317,7 +479,11 @@ fn watch_status(stats: &LiveStats, rules: Option<&RuleSet>) -> String {
 /// The run is complete once the manifest has landed and the trace has
 /// yielded every event it claims (malformed lines count toward the
 /// total — they occupy trace lines) with no partial line pending.
-fn watch_complete(input: &Path, stats: &LiveStats, tailer: &TraceTailer) -> Result<bool, String> {
+fn watch_complete(
+    input: &Path,
+    stats: &TraceAnalysis,
+    tailer: &TraceTailer,
+) -> Result<bool, String> {
     if tailer.partial_tail() {
         return Ok(false);
     }
@@ -388,7 +554,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
     };
 
-    let mut stats = LiveStats::new();
+    let mut stats = TraceAnalysis::bounded();
     let mut last_event = Instant::now();
     loop {
         let events = tailer

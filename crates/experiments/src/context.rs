@@ -27,9 +27,9 @@ pub struct ExpOptions {
     /// (`--frames=N` / `SIMKIT_FRAMES`). `None` disables frame capture;
     /// frames are only emitted when telemetry is also enabled.
     pub frames: Option<usize>,
-    /// Fold events into an in-process live aggregate (`--live` /
-    /// `SIMKIT_LIVE`), self-reporting the aggregation cost through
-    /// `telemetry.live.*` counters. Only meaningful with telemetry on.
+    /// Self-report the in-process aggregation cost through
+    /// `telemetry.live.*` counters in the trace (`--live` /
+    /// `SIMKIT_LIVE`). Only meaningful with telemetry on.
     pub live: bool,
 }
 
@@ -40,8 +40,8 @@ impl ExpOptions {
     /// `SIMKIT_TELEMETRY=<dir>` enables telemetry when the flag is
     /// absent. `--frames=N` / `SIMKIT_FRAMES=N` turns on the spatial
     /// frame recorder with a capture every N thermal steps; `--live` /
-    /// `SIMKIT_LIVE` folds events into an in-process live aggregate
-    /// with self-reported overhead counters. Also installs the quiet
+    /// `SIMKIT_LIVE` writes the in-process aggregator's self-reported
+    /// overhead counters into the trace. Also installs the quiet
     /// preference into [`crate::report`], so tables printed through it
     /// honour `--quiet`.
     pub fn from_args() -> Self {
@@ -124,7 +124,7 @@ impl ExpOptions {
         }
     }
 
-    /// This configuration with in-process live aggregation enabled.
+    /// This configuration with the aggregation self-report enabled.
     pub fn with_live(self) -> Self {
         ExpOptions { live: true, ..self }
     }

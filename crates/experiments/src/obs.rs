@@ -230,10 +230,10 @@ fn canonical_site(name: &str) -> &str {
 
 /// Unions the names of two ordered name-keyed slices, preserving `a`'s
 /// order then appending `b`-only names.
-fn name_union<'s, T>(a: &'s [(String, T)], b: &'s [(String, T)]) -> Vec<&'s str> {
-    let mut names: Vec<&str> = a.iter().map(|(n, _)| n.as_str()).collect();
-    for (n, _) in b {
-        if !names.contains(&n.as_str()) {
+fn name_union<'s>(a: Vec<&'s str>, b: Vec<&'s str>) -> Vec<&'s str> {
+    let mut names = a;
+    for n in b {
+        if !names.contains(&n) {
             names.push(n);
         }
     }
@@ -280,7 +280,10 @@ pub fn diff_analyses(a: &TraceAnalysis, b: &TraceAnalysis, config: &DiffConfig) 
             Direction::BothWays,
         );
     }
-    for name in name_union(&a.counters, &b.counters) {
+    fn counter_names(x: &TraceAnalysis) -> Vec<&str> {
+        x.counters.iter().map(|(n, _)| n.as_str()).collect()
+    }
+    for name in name_union(counter_names(a), counter_names(b)) {
         report.push(
             config,
             format!("counter.{name}"),
@@ -290,8 +293,9 @@ pub fn diff_analyses(a: &TraceAnalysis, b: &TraceAnalysis, config: &DiffConfig) 
             Direction::BothWays,
         );
     }
-    for name in name_union(&a.rollups, &b.rollups) {
+    for name in name_union(a.rollup_names(), b.rollup_names()) {
         let (ra, rb) = (a.rollup(name), b.rollup(name));
+        let (ra, rb) = (ra.as_deref(), rb.as_deref());
         report.push(
             config,
             format!("metric.{name}.count"),
@@ -324,12 +328,12 @@ pub fn diff_analyses(a: &TraceAnalysis, b: &TraceAnalysis, config: &DiffConfig) 
         let canon_solves = |x: &TraceAnalysis, canon: &str| -> f64 {
             x.solvers
                 .iter()
-                .filter(|(n, _)| canonical_site(n) == canon)
+                .filter(|((_, n), _)| canonical_site(n) == canon)
                 .map(|(_, s)| s.solves() as f64)
                 .sum()
         };
         let mut canon_names: Vec<&str> = Vec::new();
-        for (n, _) in a.solvers.iter().chain(b.solvers.iter()) {
+        for n in a.solver_names().into_iter().chain(b.solver_names()) {
             let c = canonical_site(n);
             if !canon_names.contains(&c) {
                 canon_names.push(c);
@@ -346,8 +350,9 @@ pub fn diff_analyses(a: &TraceAnalysis, b: &TraceAnalysis, config: &DiffConfig) 
             );
         }
     } else {
-        for name in name_union(&a.solvers, &b.solvers) {
+        for name in name_union(a.solver_names(), b.solver_names()) {
             let (sa, sb) = (a.solver(name), b.solver(name));
+            let (sa, sb) = (sa.as_deref(), sb.as_deref());
             report.push(
                 config,
                 format!("solver.{name}.solves"),
@@ -401,8 +406,8 @@ pub fn diff_analyses(a: &TraceAnalysis, b: &TraceAnalysis, config: &DiffConfig) 
     report.push(
         config,
         "gating.active_mean".into(),
-        a.gating.active.mean().unwrap_or(0.0),
-        b.gating.active.mean().unwrap_or(0.0),
+        a.gating.active().and_then(|r| r.mean()).unwrap_or(0.0),
+        b.gating.active().and_then(|r| r.mean()).unwrap_or(0.0),
         TIGHT,
         Direction::BothWays,
     );
@@ -430,7 +435,7 @@ pub fn diff_analyses(a: &TraceAnalysis, b: &TraceAnalysis, config: &DiffConfig) 
         EXACT,
         Direction::BothWays,
     );
-    for name in name_union(&a.spans, &b.spans) {
+    for name in name_union(a.span_names(), b.span_names()) {
         report.push(
             config,
             format!("span.{name}.p50_s"),

@@ -2,7 +2,6 @@
 
 use simkit::perf::SolverProfile;
 use simkit::telemetry::analyze::TraceAnalysis;
-use simkit::telemetry::MetricsRegistry;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Process-wide quiet preference (`--quiet`/`-q`): when set,
@@ -177,32 +176,33 @@ pub fn solver_report(profile: &SolverProfile) -> String {
     t.render()
 }
 
-/// Renders the counters and histogram summaries a telemetry-enabled run
-/// accumulated, as two column-aligned tables (counters first). Empty
-/// sections are omitted; an empty registry renders to an empty string.
-pub fn metrics_report(registry: &MetricsRegistry) -> String {
+/// Renders the counters and value rollups a telemetry-enabled run
+/// accumulated (its in-process aggregate), as two column-aligned tables
+/// (counters first). Empty sections are omitted; an empty aggregate
+/// renders to an empty string.
+pub fn metrics_report(analysis: &TraceAnalysis) -> String {
     let mut out = String::new();
-    let counters = registry.counters();
-    if !counters.is_empty() {
+    if !analysis.counters.is_empty() {
         let mut t = TextTable::new(&["counter", "total"]);
-        for (name, total) in counters {
-            t.add_row(vec![name, total.to_string()]);
+        for (name, total) in &analysis.counters {
+            t.add_row(vec![name.clone(), total.to_string()]);
         }
         out.push_str(&t.render());
     }
-    let histograms = registry.histograms();
-    if !histograms.is_empty() {
+    let names = analysis.rollup_names();
+    if !names.is_empty() {
         if !out.is_empty() {
             out.push('\n');
         }
         let mut t = TextTable::new(&["histogram", "samples", "min", "mean", "max"]);
-        for (name, h) in histograms {
+        for name in names {
+            let r = analysis.rollup(name).expect("listed name has a rollup");
             t.add_row(vec![
-                name,
-                h.count.to_string(),
-                format!("{:.4}", h.min),
-                format!("{:.4}", h.mean()),
-                format!("{:.4}", h.max),
+                name.to_string(),
+                r.count().to_string(),
+                fmt_opt(r.min(), 4),
+                fmt_opt(r.mean(), 4),
+                fmt_opt(r.max(), 4),
             ]);
         }
         out.push_str(&t.render());
@@ -235,6 +235,13 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
     if analysis.truncated {
         out.push_str("warning: trace ends mid-line (truncated write)\n");
     }
+    if analysis.unpaired_spans() > 0 {
+        let ends: u64 = analysis.spans.iter().map(|(_, s)| s.unmatched_ends).sum();
+        let open: u64 = analysis.spans.iter().map(|(_, s)| s.open).sum();
+        out.push_str(&format!(
+            "warning: {ends} span end(s) without a matching start on their track, {open} span(s) never ended\n"
+        ));
+    }
     out.push('\n');
 
     let mut kinds = TextTable::new(&["event kind", "count"]);
@@ -255,14 +262,16 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
         out.push_str(&t.render());
     }
 
-    if !analysis.rollups.is_empty() {
+    let rollups = analysis.rollup_names();
+    if !rollups.is_empty() {
         out.push('\n');
         let mut t = TextTable::new(&[
             "metric", "samples", "min", "mean", "p50", "p95", "p99", "max",
         ]);
-        for (name, r) in &analysis.rollups {
+        for name in rollups {
+            let r = analysis.rollup(name).expect("listed name has a rollup");
             t.add_row(vec![
-                name.clone(),
+                name.to_string(),
                 r.count().to_string(),
                 fmt_opt(r.min(), 4),
                 fmt_opt(r.mean(), 4),
@@ -279,9 +288,10 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
     if completed_spans > 0 {
         out.push('\n');
         let mut t = TextTable::new(&["span", "completed", "open", "total s", "p50 s", "max s"]);
-        for (name, s) in &analysis.spans {
+        for name in analysis.span_names() {
+            let s = analysis.span(name).expect("listed name has span stats");
             t.add_row(vec![
-                name.clone(),
+                name.to_string(),
                 s.completed().to_string(),
                 s.open.to_string(),
                 fmt_opt(Some(s.durations.sum()), 3),
@@ -299,7 +309,8 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
         out.push('\n');
     }
 
-    if !analysis.solvers.is_empty() {
+    let solvers = analysis.solver_names();
+    if !solvers.is_empty() {
         out.push('\n');
         let mut t = TextTable::new(&[
             "solver",
@@ -309,9 +320,10 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
             "iters max",
             "resid max",
         ]);
-        for (name, s) in &analysis.solvers {
+        for name in solvers {
+            let s = analysis.solver(name).expect("listed site has a rollup");
             t.add_row(vec![
-                name.clone(),
+                name.to_string(),
                 s.solves().to_string(),
                 fmt_opt(s.iters.percentile(50.0), 1),
                 fmt_opt(s.iters.percentile(95.0), 1),
@@ -332,7 +344,7 @@ pub fn analysis_report(analysis: &TraceAnalysis) -> String {
             analysis.gating.turned_on,
             analysis.gating.turned_off,
             analysis.gating.churn_per_decision().unwrap_or(0.0),
-            fmt_opt(analysis.gating.active.mean(), 2),
+            fmt_opt(analysis.gating.active().and_then(|a| a.mean()), 2),
         ));
     }
     if analysis.emergency.checks > 0 {
@@ -408,7 +420,8 @@ pub fn analysis_json(
     out.push(']');
 
     out.push_str(",\"rollups\":[");
-    for (i, (name, r)) in analysis.rollups.iter().enumerate() {
+    for (i, name) in analysis.rollup_names().into_iter().enumerate() {
+        let r = analysis.rollup(name).expect("listed name has a rollup");
         if i > 0 {
             out.push(',');
         }
@@ -435,7 +448,8 @@ pub fn analysis_json(
     out.push(']');
 
     out.push_str(",\"spans\":[");
-    for (i, (name, s)) in analysis.spans.iter().enumerate() {
+    for (i, name) in analysis.span_names().into_iter().enumerate() {
+        let s = analysis.span(name).expect("listed name has span stats");
         if i > 0 {
             out.push(',');
         }
@@ -459,7 +473,8 @@ pub fn analysis_json(
     out.push(']');
 
     out.push_str(",\"solvers\":[");
-    for (i, (site, s)) in analysis.solvers.iter().enumerate() {
+    for (i, site) in analysis.solver_names().into_iter().enumerate() {
+        let s = analysis.solver(site).expect("listed site has a rollup");
         if i > 0 {
             out.push(',');
         }
@@ -490,7 +505,7 @@ pub fn analysis_json(
         ));
         opt(&mut out, analysis.gating.churn_per_decision());
         out.push_str(",\"mean_active\":");
-        opt(&mut out, analysis.gating.active.mean());
+        opt(&mut out, analysis.gating.active().and_then(|a| a.mean()));
         out.push('}');
     } else {
         out.push_str("null");
@@ -629,12 +644,18 @@ mod tests {
 
     #[test]
     fn metrics_report_renders_counters_and_histograms() {
-        let registry = MetricsRegistry::new();
-        assert_eq!(metrics_report(&registry), "");
-        registry.add_counter("engine.decisions", 20);
-        registry.observe("engine.window_noise_pct", 8.5);
-        registry.observe("engine.window_noise_pct", 11.5);
-        let s = metrics_report(&registry);
+        use simkit::telemetry::Telemetry;
+
+        assert_eq!(metrics_report(&TraceAnalysis::bounded()), "");
+        let (tel, sink) = Telemetry::recorder();
+        tel.counter("engine.decisions", 20);
+        tel.histogram("engine.window_noise_pct", 8.5);
+        tel.histogram("engine.window_noise_pct", 11.5);
+        let mut analysis = TraceAnalysis::bounded();
+        for event in sink.events() {
+            analysis.observe(&event);
+        }
+        let s = metrics_report(&analysis);
         assert!(s.contains("engine.decisions"));
         assert!(s.contains("20"));
         assert!(s.contains("engine.window_noise_pct"));

@@ -15,7 +15,7 @@
 //! counts are deterministic and gate tightly.
 
 use simkit::linalg::SolverBackend;
-use simkit::telemetry::analyze::{ParsedEvent, TraceAnalysis};
+use simkit::telemetry::analyze::TraceAnalysis;
 use simkit::telemetry::json::{self, JsonValue};
 use simkit::telemetry::Telemetry;
 use simkit::units::Watts;
@@ -120,7 +120,7 @@ impl TelemetryOverhead {
 }
 
 /// The live-aggregation overhead axis: one pinned fast-config run with
-/// the in-process streaming aggregator ([`simkit::telemetry::live::LiveSink`])
+/// the in-process bounded aggregator ([`simkit::telemetry::live::LiveSink`])
 /// fanned in next to the recorder sink, against one with the recorder
 /// alone.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,20 +239,21 @@ pub fn measure_policy(policy: PolicyKind) -> Result<PolicyEntry, String> {
 
     let mut analysis = TraceAnalysis::new();
     for event in sink.events() {
-        if let Ok(parsed) = ParsedEvent::from_line(&event.to_json()) {
-            analysis.observe(&parsed);
-        }
+        analysis.observe(&event);
     }
     let solver = analysis
-        .solvers
-        .iter()
-        .map(|(site, rollup)| SolverSnapshot {
-            site: site.clone(),
-            solves: rollup.solves(),
-            iters_mean: rollup.iters.mean().unwrap_or(0.0),
-            iters_p50: rollup.iters.percentile(50.0).unwrap_or(0.0),
-            iters_p95: rollup.iters.percentile(95.0).unwrap_or(0.0),
-            residual_max: rollup.residuals.max().unwrap_or(0.0),
+        .solver_names()
+        .into_iter()
+        .map(|site| {
+            let rollup = analysis.solver(site).expect("listed site has a rollup");
+            SolverSnapshot {
+                site: site.to_string(),
+                solves: rollup.solves(),
+                iters_mean: rollup.iters.mean().unwrap_or(0.0),
+                iters_p50: rollup.iters.percentile(50.0).unwrap_or(0.0),
+                iters_p95: rollup.iters.percentile(95.0).unwrap_or(0.0),
+                residual_max: rollup.residuals.max().unwrap_or(0.0),
+            }
         })
         .collect();
     Ok(PolicyEntry {
@@ -301,9 +302,7 @@ pub fn measure_telemetry_overhead() -> Result<TelemetryOverhead, String> {
         let wall_s = started.elapsed().as_secs_f64();
         let mut analysis = TraceAnalysis::new();
         for event in sink.events() {
-            if let Ok(parsed) = ParsedEvent::from_line(&event.to_json()) {
-                analysis.observe(&parsed);
-            }
+            analysis.observe(&event);
         }
         Ok((wall_s, analysis))
     };

@@ -2,24 +2,25 @@
 //!
 //! A [`TelemetryCtx`] owns one telemetry output directory for a run:
 //! every event goes to a `trace.jsonl` JSONL writer and, in parallel,
-//! into an in-process [`MetricsRegistry`] so binaries can print a
-//! counter/histogram summary table next to their phase tables. Event
-//! counts are tracked at two levels — per run and per sweep cell — so
-//! [`TelemetryCtx::finish`] can write a `manifest.json` whose
-//! `events_total` provably matches the number of trace lines.
+//! into a [`LiveSink`] — the bounded-mode
+//! [`TraceAnalysis`] that `tg-obs watch` runs over a trace file, here
+//! run in process — so binaries can print a counter/histogram summary
+//! table next to their phase tables. Event counts are tracked at two
+//! levels — per run and per sweep cell — so [`TelemetryCtx::finish`]
+//! can write a `manifest.json` whose `events_total` provably matches
+//! the number of trace lines.
 //!
 //! ```text
 //! Telemetry handle ──► CountingSink (run or cell) ──► Fanout
-//!                                                       ├─► JsonlSink   (trace.jsonl)
-//!                                                       └─► MetricsSink (registry)
+//!                                                       ├─► JsonlSink (trace.jsonl)
+//!                                                       └─► LiveSink  (bounded TraceAnalysis)
 //! ```
 
 use crate::context::ExpOptions;
-use simkit::telemetry::live::{LiveSink, LiveStats};
+use simkit::telemetry::analyze::TraceAnalysis;
+use simkit::telemetry::live::LiveSink;
 use simkit::telemetry::manifest::{RunManifest, MANIFEST_FILE, TRACE_FILE};
-use simkit::telemetry::{
-    CountingSink, FanoutSink, JsonlSink, MetricsRegistry, MetricsSink, Telemetry, TelemetrySink,
-};
+use simkit::telemetry::{CountingSink, FanoutSink, JsonlSink, Telemetry, TelemetrySink};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,19 +41,20 @@ fn flush_every_from_env() -> u64 {
         .unwrap_or(DEFAULT_FLUSH_EVERY)
 }
 
-/// One run's telemetry outputs: a JSONL trace, an aggregated metrics
-/// registry, and the bookkeeping needed to write a consistent manifest.
+/// One run's telemetry outputs: a JSONL trace, an in-process
+/// aggregate, and the bookkeeping needed to write a consistent
+/// manifest.
 #[derive(Debug)]
 pub struct TelemetryCtx {
     dir: PathBuf,
-    /// JSONL + metrics fanout every event ends up in.
+    /// JSONL + aggregation fanout every event ends up in.
     shared: Arc<FanoutSink>,
     /// Counts run-level events (everything not attributed to a cell).
     run_counter: Arc<CountingSink>,
-    registry: Arc<MetricsRegistry>,
+    live: Arc<LiveSink>,
+    /// Whether [`TelemetryCtx::finish`] reports the aggregation cost.
+    self_report: bool,
     telemetry: Telemetry,
-    /// In-process live aggregation (`--live`), when requested.
-    live: Option<Arc<LiveSink>>,
     /// Next track id to hand out to a sweep cell. Track 0 is the
     /// run-level handle; cells get 1, 2, … so the profiler and the
     /// Chrome-trace export can keep concurrent cells on separate lanes.
@@ -70,29 +72,24 @@ impl TelemetryCtx {
         TelemetryCtx::create_with(dir, false)
     }
 
-    /// [`TelemetryCtx::create`] with optional in-process live
-    /// aggregation: a [`LiveSink`] joins the fanout, and
-    /// [`TelemetryCtx::finish`] emits `telemetry.live.events` /
-    /// `telemetry.live.overhead` counters reporting what it cost.
+    /// [`TelemetryCtx::create`] with the aggregation self-report:
+    /// [`TelemetryCtx::finish`] then emits `telemetry.live.events` /
+    /// `telemetry.live.overhead` counters reporting what the in-process
+    /// aggregation cost.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation and file-open failures.
-    pub fn create_with(dir: impl Into<PathBuf>, live: bool) -> io::Result<Self> {
+    pub fn create_with(dir: impl Into<PathBuf>, self_report: bool) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let jsonl =
             Arc::new(JsonlSink::create(&dir.join(TRACE_FILE))?.flush_every(flush_every_from_env()));
-        let registry = Arc::new(MetricsRegistry::new());
-        let live_sink = live.then(|| Arc::new(LiveSink::new()));
-        let mut sinks: Vec<Arc<dyn TelemetrySink>> = vec![
+        let live = Arc::new(LiveSink::new());
+        let shared = Arc::new(FanoutSink::new(vec![
             jsonl as Arc<dyn TelemetrySink>,
-            Arc::new(MetricsSink::new(Arc::clone(&registry))),
-        ];
-        if let Some(sink) = &live_sink {
-            sinks.push(Arc::clone(sink) as Arc<dyn TelemetrySink>);
-        }
-        let shared = Arc::new(FanoutSink::new(sinks));
+            Arc::clone(&live) as Arc<dyn TelemetrySink>,
+        ]));
         let run_counter = Arc::new(CountingSink::new(
             Arc::clone(&shared) as Arc<dyn TelemetrySink>
         ));
@@ -101,15 +98,16 @@ impl TelemetryCtx {
             dir,
             shared,
             run_counter,
-            registry,
+            live,
+            self_report,
             telemetry,
-            live: live_sink,
             next_track: AtomicU64::new(1),
         })
     }
 
     /// Builds a context from `--telemetry=<dir>` / `SIMKIT_TELEMETRY`
-    /// (with `--live` / `SIMKIT_LIVE` attaching the live aggregator).
+    /// (with `--live` / `SIMKIT_LIVE` turning on the aggregation
+    /// self-report).
     /// Returns `None` when telemetry is not requested; a requested
     /// directory that cannot be created is reported on stderr and also
     /// yields `None` (the simulation still runs, untraced).
@@ -122,12 +120,6 @@ impl TelemetryCtx {
                 None
             }
         }
-    }
-
-    /// A snapshot of the in-process live aggregate (`None` unless the
-    /// context was created with live aggregation).
-    pub fn live_stats(&self) -> Option<LiveStats> {
-        self.live.as_ref().map(|sink| sink.snapshot())
     }
 
     /// The output directory.
@@ -146,7 +138,7 @@ impl TelemetryCtx {
     /// `run_events`) and a unique track id (1, 2, …) stamped onto every
     /// event, so concurrent cells stay on separate timeline lanes.
     /// Sinks are shared, so the cell's events land in the same trace
-    /// and registry.
+    /// and aggregate.
     pub fn cell_handle(&self) -> (Telemetry, Arc<CountingSink>) {
         let counter = Arc::new(CountingSink::new(
             Arc::clone(&self.shared) as Arc<dyn TelemetrySink>
@@ -157,10 +149,10 @@ impl TelemetryCtx {
         (telemetry, counter)
     }
 
-    /// The aggregated counters/histograms of everything emitted so far
-    /// (render with [`crate::report::metrics_report`]).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+    /// A snapshot of the bounded-mode aggregate of everything emitted
+    /// so far (render with [`crate::report::metrics_report`]).
+    pub fn analysis(&self) -> TraceAnalysis {
+        self.live.snapshot()
     }
 
     /// Events emitted through the run-level handle so far.
@@ -173,8 +165,8 @@ impl TelemetryCtx {
     /// in `manifest.cells`; run-level events are counted here so the
     /// manifest's `events_total` equals the trace's line count.
     ///
-    /// With live aggregation attached, the self-reported cost is
-    /// emitted first — `telemetry.live.events` (events folded) and
+    /// With the self-report on, the aggregation cost is emitted first —
+    /// `telemetry.live.events` (events folded) and
     /// `telemetry.live.overhead` (whole µs inside the aggregator) —
     /// through the run-level handle, so the counters land in the trace
     /// *before* `run_events` is stamped and the totals still match.
@@ -183,11 +175,11 @@ impl TelemetryCtx {
     ///
     /// Propagates flush and write failures.
     pub fn finish(&self, manifest: &mut RunManifest) -> io::Result<PathBuf> {
-        if let Some(live) = &self.live {
+        if self.self_report {
             self.telemetry
-                .counter("telemetry.live.events", live.events());
+                .counter("telemetry.live.events", self.live.events());
             self.telemetry
-                .counter("telemetry.live.overhead", live.overhead_us());
+                .counter("telemetry.live.overhead", self.live.overhead_us());
         }
         manifest.run_events = self.run_events();
         self.telemetry.flush()?;
@@ -234,9 +226,10 @@ mod tests {
         // Trace line count matches the manifest total.
         let trace = std::fs::read_to_string(dir.join(TRACE_FILE)).unwrap();
         assert_eq!(trace.lines().count() as u64, back.total_events());
-        // Both handles fed the one registry.
-        assert_eq!(ctx.registry().counter("run.level"), 1);
-        assert_eq!(ctx.registry().histogram("cell.level").unwrap().count, 2);
+        // Both handles fed the one aggregate.
+        let analysis = ctx.analysis();
+        assert_eq!(analysis.counter("run.level"), 1);
+        assert_eq!(analysis.rollup("cell.level").unwrap().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -269,7 +262,7 @@ mod tests {
         let ctx = TelemetryCtx::create_with(&dir, true).unwrap();
         ctx.telemetry().counter("engine.decisions", 1);
         ctx.telemetry().gauge("thermal.max_c", 61.0);
-        let stats = ctx.live_stats().expect("live aggregation attached");
+        let stats = ctx.analysis();
         assert_eq!(stats.events, 2);
         assert_eq!(stats.counter("engine.decisions"), 1);
 
@@ -282,9 +275,16 @@ mod tests {
         assert_eq!(trace.lines().count(), 4);
         assert!(trace.contains("telemetry.live.events"));
         assert!(trace.contains("telemetry.live.overhead"));
-        // Without the flag there is no aggregate and no self-report.
+        // Without the flag the aggregate still runs, but reports
+        // nothing into the trace.
         let plain = TelemetryCtx::create(&dir).unwrap();
-        assert!(plain.live_stats().is_none());
+        plain.telemetry().counter("engine.decisions", 1);
+        let mut manifest = RunManifest::new("test");
+        plain.finish(&mut manifest).unwrap();
+        assert_eq!(manifest.run_events, 1);
+        assert_eq!(plain.analysis().events, 1);
+        let trace = std::fs::read_to_string(dir.join(TRACE_FILE)).unwrap();
+        assert!(!trace.contains("telemetry.live"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

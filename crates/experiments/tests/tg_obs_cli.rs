@@ -1,7 +1,7 @@
-//! End-to-end tests of the `tg-obs` and `telemetry_check` binaries:
-//! summarize/export/diff over the committed fixture run, regression
-//! gating with non-zero exits and named metrics, snapshot capture, and
-//! the extended trace validation (span pairing, timestamp ordering).
+//! End-to-end tests of the `tg-obs` binary: summarize/export/diff over
+//! the committed fixture run, regression gating with non-zero exits and
+//! named metrics, snapshot capture, and trace validation (span pairing,
+//! timestamp ordering).
 
 use experiments::snapshot::{BenchSnapshot, PolicyEntry, ScalingEntry, SolverSnapshot};
 use std::path::{Path, PathBuf};
@@ -25,11 +25,10 @@ fn tg_obs(args: &[&str]) -> Output {
         .expect("tg-obs runs")
 }
 
-fn telemetry_check(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_telemetry_check"))
-        .args(args)
-        .output()
-        .expect("telemetry_check runs")
+fn validate(args: &[&str]) -> Output {
+    let mut all = vec!["validate"];
+    all.extend_from_slice(args);
+    tg_obs(&all)
 }
 
 fn stdout(out: &Output) -> String {
@@ -159,6 +158,48 @@ fn top_default_report_is_byte_identical_across_invocations() {
     assert!(stdout(&times).contains("excl"), "{}", stdout(&times));
     let tree = tg_obs(&["top", run.to_str().unwrap(), "--tree"]);
     assert!(stdout(&tree).contains("track 0 (run)"), "{}", stdout(&tree));
+}
+
+#[test]
+fn summarize_pairs_spans_per_track_and_warns_on_unmatched_ends() {
+    // A track-2 end of `engine.run` must not close the run-track start:
+    // the real span still lasts 0.130 s, and the stray end is flagged.
+    let run = fixture_run();
+    let dir = temp_dir("sum-track");
+    let trace = std::fs::read_to_string(run.join("trace.jsonl")).expect("fixture trace");
+    std::fs::write(
+        dir.join("trace.jsonl"),
+        trace.replace(
+            "{\"t\":0.120,\"kind\":\"progress\",\"name\":\"workload.trace\",\"workload\":\"lu_ncb\"}",
+            "{\"t\":0.120,\"kind\":\"span_end\",\"name\":\"engine.run\",\"dur_s\":0.1,\"track\":2}",
+        ),
+    )
+    .expect("doctored trace written");
+    let out = tg_obs(&["summarize", dir.to_str().unwrap()]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains(
+            "warning: 1 span end(s) without a matching start on their track, 0 span(s) never ended"
+        ),
+        "{text}"
+    );
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("engine.run "))
+        .expect("engine.run span row");
+    let cells: Vec<&str> = row.split_whitespace().collect();
+    // span, completed, open, total s, p50 s, max s
+    assert_eq!(
+        cells,
+        ["engine.run", "1", "0", "0.130", "0.130", "0.130"],
+        "{text}"
+    );
+
+    // The clean fixture carries no such warning.
+    let clean = stdout(&tg_obs(&["summarize", run.to_str().unwrap()]));
+    assert!(!clean.contains("warning"), "{clean}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -335,9 +376,9 @@ fn unknown_subcommand_and_bad_policy_fail_cleanly() {
 }
 
 #[test]
-fn telemetry_check_accepts_the_fixture_and_rejects_broken_traces() {
+fn validate_accepts_the_fixture_and_rejects_broken_traces() {
     let run = fixture_run();
-    let out = telemetry_check(&[run.to_str().unwrap(), "--require", "gating,emergency,solve"]);
+    let out = validate(&[run.to_str().unwrap(), "--require", "gating,emergency,solve"]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("spans paired"));
 
@@ -353,7 +394,7 @@ fn telemetry_check_accepts_the_fixture_and_rejects_broken_traces() {
     )
     .expect("doctored trace written");
     std::fs::copy(run.join("manifest.json"), dir.join("manifest.json")).expect("manifest copied");
-    let out = telemetry_check(&[dir.to_str().unwrap()]);
+    let out = validate(&[dir.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(
         stderr(&out).contains("without a matching span_start"),
@@ -370,7 +411,7 @@ fn telemetry_check_accepts_the_fixture_and_rejects_broken_traces() {
         ),
     )
     .expect("doctored trace written");
-    let out = telemetry_check(&[dir.to_str().unwrap()]);
+    let out = validate(&[dir.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(
         stderr(&out).contains("never closed"),
@@ -387,7 +428,7 @@ fn telemetry_check_accepts_the_fixture_and_rejects_broken_traces() {
         ),
     )
     .expect("doctored trace written");
-    let out = telemetry_check(&[dir.to_str().unwrap(), "--mono-slack", "0.01"]);
+    let out = validate(&[dir.to_str().unwrap(), "--mono-slack", "0.01"]);
     assert!(!out.status.success());
     assert!(
         stderr(&out).contains("timestamp went backwards"),
@@ -395,13 +436,13 @@ fn telemetry_check_accepts_the_fixture_and_rejects_broken_traces() {
         stderr(&out)
     );
     // The default slack (0.1 s) tolerates the same wobble.
-    let out = telemetry_check(&[dir.to_str().unwrap()]);
+    let out = validate(&[dir.to_str().unwrap()]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn telemetry_check_pairs_spans_per_track() {
+fn validate_pairs_spans_per_track() {
     // A span_end on track 2 must not be paired with the run-track
     // (track 0) span_start of the same name: pairing is keyed by
     // (track, name), not name alone.
@@ -417,7 +458,7 @@ fn telemetry_check_pairs_spans_per_track() {
     )
     .expect("doctored trace written");
     std::fs::copy(run.join("manifest.json"), dir.join("manifest.json")).expect("manifest copied");
-    let out = telemetry_check(&[dir.to_str().unwrap()]);
+    let out = validate(&[dir.to_str().unwrap()]);
     assert!(!out.status.success(), "cross-track pairing must fail");
     assert!(
         stderr(&out).contains("on track 2 without a matching span_start"),

@@ -25,9 +25,9 @@
 //!   (R²) used to calibrate ThermoGater's ΔT = θ·ΔP predictor, and the
 //!   weighted moving average the practical policies use to forecast power;
 //! * [`telemetry`] — structured event tracing (spans, counters,
-//!   histograms, gauges) with pluggable sinks, a thread-safe metrics
-//!   registry, machine-readable run manifests, and streaming trace
-//!   analytics ([`telemetry::analyze`]) for run summaries and diffs;
+//!   histograms, gauges) with pluggable sinks, machine-readable run
+//!   manifests, and one trace aggregator ([`telemetry::analyze`]) for
+//!   run summaries, diffs, and in-process metrics;
 //! * [`error`] — the shared error type.
 //!
 //! # Examples

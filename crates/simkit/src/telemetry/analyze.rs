@@ -1,22 +1,31 @@
-//! Trace analytics: streaming consumption of JSONL telemetry traces.
+//! Trace analytics: the one fold over the telemetry event stream.
 //!
 //! The [`telemetry`](crate::telemetry) module *emits* structured traces;
 //! this module *consumes* them. A [`TraceReader`] streams a
 //! `trace.jsonl` file line by line through the hand-rolled
 //! [`json`](super::json) parser (skipping corrupt interior lines and recovering from
-//! a truncated final line, so a trace cut mid-write still analyzes), and
-//! a [`TraceAnalysis`] folds the event stream into:
+//! a truncated final line, so a trace cut mid-write still analyzes), a
+//! [`TraceTailer`] follows one that is still being written, and a
+//! [`TraceAnalysis`] folds the event stream — parsed lines or emit-side
+//! events alike, through [`EventView`] — into:
 //!
-//! * per-[`EventKind`] event counts;
-//! * per-name value [`Rollup`]s for gauges and histograms, with
-//!   p50/p95/p99 percentiles via [`crate::stats::percentile`];
-//! * span begin/end pairing into per-name duration rollups
+//! * per-[`EventKind`] event counts and counter totals;
+//! * per-name value [`Rollup`]s for gauges and histograms: exact
+//!   count / min / max / mean, and p50/p95/p99 percentiles;
+//! * span begin/end pairing per `(track, name)` into duration rollups
 //!   ([`SpanStats`], with unmatched starts/ends surfaced rather than
 //!   silently dropped);
 //! * solver-convergence aggregates per solve site ([`SolverRollup`]:
 //!   iteration and residual distributions);
 //! * gating-churn ([`GatingStats`]) and voltage-emergency
 //!   ([`EmergencyStats`]) aggregates.
+//!
+//! An analysis runs in one of two modes. *Exact* mode keeps every
+//! observation, so its percentiles are exact; `tg-obs summarize`,
+//! `diff`, and the perf snapshots use it. *Bounded* mode keeps a
+//! [`P2Grid`] per rollup instead and stores nothing per observation;
+//! `tg-obs watch` and `check`, the [`rules`](super::rules) engine, and
+//! the in-process [`LiveSink`](super::live::LiveSink) use it.
 //!
 //! Nothing here panics on hostile input: unknown kinds, missing fields,
 //! `null`ed non-finite numbers, and malformed lines are counted and
@@ -44,18 +53,27 @@
 //! assert_eq!(analysis.kind_count(EventKind::SpanEnd), 1);
 //! assert_eq!(analysis.rollup("thermal.max_c").unwrap().count(), 1);
 //! assert_eq!(analysis.solver("thermal.gs").unwrap().solves(), 1);
+//!
+//! // The emit-side events fold directly, with no JSON round trip.
+//! let mut direct = TraceAnalysis::new();
+//! for event in sink.events() {
+//!     direct.observe(&event);
+//! }
+//! assert_eq!(direct.rollup("thermal.max_c"), analysis.rollup("thermal.max_c"));
 //! ```
 
 use super::json::JsonValue;
-use super::EventKind;
+use super::live::P2Grid;
+use super::{Event, EventKind, FieldValue};
 use crate::stats;
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader};
 use std::path::Path;
 
 /// One trace line decoded into its envelope and payload fields.
 ///
-/// Unlike the emit-side [`Event`](super::Event), field values are parsed
+/// Unlike the emit-side [`Event`], field values are parsed
 /// [`JsonValue`]s: a consumer cannot know the original Rust type, and
 /// non-finite floats arrive as `null`.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,27 +94,29 @@ impl ParsedEvent {
     /// # Errors
     ///
     /// Describes the first structural problem: malformed JSON, a
-    /// non-object document, a missing/invalid `t`, `kind`, or `name`.
+    /// non-object document, a missing/invalid `kind`, `t`, or `name`.
     pub fn from_line(line: &str) -> Result<ParsedEvent, String> {
         let doc = super::json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
         let members = doc.as_object().ok_or("event is not a JSON object")?;
-        let t_s = doc
-            .get("t")
-            .and_then(JsonValue::as_f64)
-            .filter(|t| t.is_finite() && *t >= 0.0)
-            .ok_or("missing finite numeric field \"t\"")?;
         let kind_str = doc
             .get("kind")
             .and_then(JsonValue::as_str)
             .ok_or("missing string field \"kind\"")?;
         let kind =
             EventKind::parse(kind_str).ok_or_else(|| format!("unknown kind {kind_str:?}"))?;
+        let t_s = doc
+            .get("t")
+            .and_then(JsonValue::as_f64)
+            .filter(|t| t.is_finite() && *t >= 0.0)
+            .ok_or("missing finite numeric field \"t\"")?;
         let name = doc
             .get("name")
             .and_then(JsonValue::as_str)
-            .filter(|n| !n.is_empty())
-            .ok_or("missing string field \"name\"")?
-            .to_string();
+            .ok_or("missing string field \"name\"")?;
+        if name.is_empty() {
+            return Err("empty \"name\"".into());
+        }
+        let name = name.to_string();
         let fields = members
             .iter()
             .filter(|(k, _)| !matches!(k.as_str(), "t" | "kind" | "name"))
@@ -322,26 +342,165 @@ impl TraceTailer {
     }
 }
 
-/// Distribution rollup of one named value stream.
+/// The event fields the fold reads, abstracted over the emit-side
+/// [`Event`] (folded in process by [`LiveSink`](super::live::LiveSink))
+/// and the consume-side [`ParsedEvent`] (trace files), so both take the
+/// one code path in [`TraceAnalysis::observe`].
 ///
-/// Keeps every finite observation so percentiles are exact (traces are
-/// bounded by run length; a full run emits thousands, not billions, of
-/// observations per name). Non-finite observations — including `null`s
-/// the JSON writer substitutes for NaN — are counted separately.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Numeric access mirrors the JSONL round trip: an emit-side non-finite
+/// float reads as `None`, exactly as its `null` wire form would.
+pub trait EventView {
+    /// Event kind.
+    fn kind(&self) -> EventKind;
+
+    /// Event name.
+    fn name(&self) -> &str;
+
+    /// Seconds since the producing handle's epoch.
+    fn t_s(&self) -> f64;
+
+    /// A numeric payload field; `None` when absent or not a number.
+    fn num(&self, key: &str) -> Option<f64>;
+
+    /// A numeric payload field as an unsigned integer (negative values
+    /// clamp to 0, fractional values truncate).
+    fn num_u64(&self, key: &str) -> Option<u64> {
+        self.num(key).map(|v| v.max(0.0) as u64)
+    }
+
+    /// The track id stamped on the event (0 when absent).
+    fn track(&self) -> u64 {
+        self.num_u64("track").unwrap_or(0)
+    }
+}
+
+impl EventView for ParsedEvent {
+    fn kind(&self) -> EventKind {
+        self.kind
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn t_s(&self) -> f64 {
+        self.t_s
+    }
+
+    fn num(&self, key: &str) -> Option<f64> {
+        self.field_f64(key)
+    }
+}
+
+impl EventView for Event {
+    fn kind(&self) -> EventKind {
+        self.kind
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn t_s(&self) -> f64 {
+        self.t_s
+    }
+
+    fn num(&self, key: &str) -> Option<f64> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| match v {
+                FieldValue::U64(x) => Some(*x as f64),
+                FieldValue::I64(x) => Some(*x as f64),
+                FieldValue::F64(x) => x.is_finite().then_some(*x),
+                FieldValue::Bool(_) | FieldValue::Str(_) => None,
+            })
+    }
+}
+
+/// Distribution rollup of one value stream.
+///
+/// The moments are exact in both modes: finite-observation count,
+/// minimum, maximum, and sum (accumulated in arrival order), plus a
+/// separate count of non-finite observations — including the `null`s
+/// the JSON writer substitutes for NaN. Percentiles depend on the mode:
+///
+/// * **exact** ([`Rollup::exact`]) keeps every finite observation, so
+///   any percentile is exact ([`stats::percentile`]) — the right trade
+///   for a finished trace, which holds thousands, not billions, of
+///   observations per name;
+/// * **bounded** ([`Rollup::bounded`]) keeps a [`P2Grid`] instead and
+///   stores nothing per observation: p50/p95/p99 are P² estimates, p0
+///   and p100 the exact minimum and maximum, any other point `None`.
+///
+/// A bounded rollup merged across tracks (see [`TraceAnalysis::rollup`])
+/// keeps every track's grid and reports count-weighted estimates.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rollup {
-    values: Vec<f64>,
+    count: u64,
     non_finite: u64,
+    min: f64,
+    max: f64,
+    sum: f64,
+    ranks: Ranks,
+}
+
+/// What a [`Rollup`] ranks its percentiles from.
+#[derive(Debug, Clone, PartialEq)]
+enum Ranks {
+    /// Every finite observation, in arrival order.
+    Exact(Vec<f64>),
+    /// One P² grid per track folded in.
+    Bounded(Vec<P2Grid>),
 }
 
 impl Rollup {
+    /// An empty rollup that keeps its observations.
+    pub fn exact() -> Self {
+        Rollup::with(Ranks::Exact(Vec::new()))
+    }
+
+    /// An empty rollup that keeps a P² grid instead of its
+    /// observations.
+    pub fn bounded() -> Self {
+        Rollup::with(Ranks::Bounded(vec![P2Grid::new()]))
+    }
+
+    fn new(exact: bool) -> Self {
+        if exact {
+            Rollup::exact()
+        } else {
+            Rollup::bounded()
+        }
+    }
+
+    fn with(ranks: Ranks) -> Self {
+        // The sum starts at -0.0, the neutral element `Iterator::sum`
+        // uses, so the running sum equals summing the kept values.
+        Rollup {
+            count: 0,
+            non_finite: 0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            sum: -0.0,
+            ranks,
+        }
+    }
+
     /// Folds one observation in (non-finite values are counted but not
     /// ranked).
     pub fn observe(&mut self, value: f64) {
-        if value.is_finite() {
-            self.values.push(value);
-        } else {
+        if !value.is_finite() {
             self.non_finite += 1;
+            return;
+        }
+        self.count += 1;
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+        self.sum += value;
+        match &mut self.ranks {
+            Ranks::Exact(values) => values.push(value),
+            Ranks::Bounded(grids) => grids[0].observe(value),
         }
     }
 
@@ -353,7 +512,7 @@ impl Rollup {
 
     /// Number of finite observations.
     pub fn count(&self) -> u64 {
-        self.values.len() as u64
+        self.count
     }
 
     /// Number of non-finite / unusable observations.
@@ -363,58 +522,120 @@ impl Rollup {
 
     /// Sum of finite observations.
     pub fn sum(&self) -> f64 {
-        self.values.iter().sum()
+        self.sum
     }
 
     /// Mean of finite observations; `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        stats::mean(&self.values)
+        (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
     /// Smallest finite observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        stats::min(&self.values)
+        (self.count > 0).then_some(self.min)
     }
 
     /// Largest finite observation; `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        stats::max(&self.values)
+        (self.count > 0).then_some(self.max)
     }
 
-    /// Linear-interpolated percentile over the finite observations.
+    /// Percentile `p` (in `[0, 100]`) of the finite observations:
+    /// linear-interpolated and exact in exact mode; in bounded mode the
+    /// exact extremes for 0 and 100, the P² estimate for 50, 95, and 99
+    /// (count-weighted across merged tracks), and `None` otherwise.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        stats::percentile(&self.values, p)
+        let grids = match &self.ranks {
+            Ranks::Exact(values) => return stats::percentile(values, p),
+            Ranks::Bounded(grids) => grids,
+        };
+        match p {
+            0.0 => self.min(),
+            100.0 => self.max(),
+            50.0 | 95.0 | 99.0 => {
+                let (mut acc, mut weight) = (0.0, 0u64);
+                for grid in grids {
+                    if let Some(v) = grid.estimate(p / 100.0) {
+                        acc += v * grid.count() as f64;
+                        weight += grid.count();
+                    }
+                }
+                (weight > 0).then(|| acc / weight as f64)
+            }
+            _ => None,
+        }
     }
 
-    /// The raw finite observations, in arrival order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// The finite observations in arrival order (exact mode); `None`
+    /// for a bounded rollup, which keeps none.
+    pub fn values(&self) -> Option<&[f64]> {
+        match &self.ranks {
+            Ranks::Exact(values) => Some(values),
+            Ranks::Bounded(_) => None,
+        }
     }
 }
 
-/// Span begin/end pairing state and completed-duration rollup for one
-/// span name.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Combining the per-track entries of one name into its name-level
+/// view.
+trait Merge: Clone {
+    fn merge(&mut self, other: &Self);
+}
+
+impl Merge for Rollup {
+    fn merge(&mut self, other: &Rollup) {
+        self.count += other.count;
+        self.non_finite += other.non_finite;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+        self.sum += other.sum;
+        match (&mut self.ranks, &other.ranks) {
+            (Ranks::Exact(a), Ranks::Exact(b)) => a.extend_from_slice(b),
+            (Ranks::Bounded(a), Ranks::Bounded(b)) => a.extend_from_slice(b),
+            _ => unreachable!("the rollups of one analysis share its mode"),
+        }
+    }
+}
+
+/// Span pairing outcome and completed-duration rollup for one span
+/// name.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpanStats {
     /// Starts not yet matched by an end (non-zero at end of trace means
     /// the run died inside this span).
     pub open: u64,
     /// Durations (`dur_s`) of completed spans.
     pub durations: Rollup,
-    /// Ends that arrived with no matching start.
+    /// Ends that arrived with no matching start on their track.
     pub unmatched_ends: u64,
 }
 
 impl SpanStats {
+    fn new(exact: bool) -> Self {
+        SpanStats {
+            open: 0,
+            durations: Rollup::new(exact),
+            unmatched_ends: 0,
+        }
+    }
+
     /// Completed start/end pairs.
     pub fn completed(&self) -> u64 {
         self.durations.count() + self.durations.non_finite()
     }
 }
 
+impl Merge for SpanStats {
+    fn merge(&mut self, other: &SpanStats) {
+        self.open += other.open;
+        self.durations.merge(&other.durations);
+        self.unmatched_ends += other.unmatched_ends;
+    }
+}
+
 /// Solver-convergence rollup for one solve site (`thermal.transient_cg`,
 /// `pdn.ir_cg`, …): iteration-count and final-residual distributions.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverRollup {
     /// Iterations per solve.
     pub iters: Rollup,
@@ -423,9 +644,23 @@ pub struct SolverRollup {
 }
 
 impl SolverRollup {
+    fn new(exact: bool) -> Self {
+        SolverRollup {
+            iters: Rollup::new(exact),
+            residuals: Rollup::new(exact),
+        }
+    }
+
     /// Number of solve events folded in.
     pub fn solves(&self) -> u64 {
         self.iters.count() + self.iters.non_finite()
+    }
+}
+
+impl Merge for SolverRollup {
+    fn merge(&mut self, other: &SolverRollup) {
+        self.iters.merge(&other.iters);
+        self.residuals.merge(&other.residuals);
     }
 }
 
@@ -438,8 +673,8 @@ pub struct GatingStats {
     pub turned_on: u64,
     /// Regulators switched off across all decisions.
     pub turned_off: u64,
-    /// Active-regulator count per decision.
-    pub active: Rollup,
+    /// Active-regulator count per decision, by track.
+    pub active_by_track: Vec<(u64, Rollup)>,
 }
 
 impl GatingStats {
@@ -455,6 +690,12 @@ impl GatingStats {
         } else {
             Some(self.churn() as f64 / self.decisions as f64)
         }
+    }
+
+    /// Active-regulator count per decision, merged across tracks;
+    /// `None` with no decisions.
+    pub fn active(&self) -> Option<Cow<'_, Rollup>> {
+        merged(self.active_by_track.iter().map(|(t, r)| (*t, r)).collect())
     }
 }
 
@@ -485,26 +726,57 @@ impl EmergencyStats {
     }
 }
 
-/// Full rollup of one JSONL trace.
+/// A `(track, name)` key: the track id events carry (0 when absent)
+/// and the event name.
+pub type TrackKey = (u64, String);
+
+/// Full rollup of one event stream — a finished trace, a trace being
+/// tailed, or a run's events as they are emitted.
 ///
-/// Build it with [`TraceAnalysis::from_path`] /
-/// [`TraceAnalysis::from_reader`], or fold events in one at a time with
-/// [`TraceAnalysis::observe`]. All name-keyed collections preserve
+/// One fold ([`TraceAnalysis::observe`]) serves every consumer, in one
+/// of two modes fixed at construction:
+///
+/// * **exact** ([`TraceAnalysis::new`], [`TraceAnalysis::from_path`]):
+///   every [`Rollup`] keeps its observations, so percentiles are exact.
+///   `tg-obs summarize`, `diff`, and the perf snapshots use it;
+/// * **bounded** ([`TraceAnalysis::bounded`]): rollups keep P² grids
+///   and nothing per observation. `tg-obs watch` and `check` and the
+///   in-process [`LiveSink`](super::live::LiveSink) use it.
+///
+/// Event totals, per-kind counts, counter totals, gating decision /
+/// churn counts, every emergency field, and rollup count / non-finite /
+/// min / max / mean agree between the modes; only p50/p95/p99 differ,
+/// by the P² estimation error.
+///
+/// Span pairing is keyed by `(track, name)` in both modes, so a
+/// worker's span end never closes another worker's start. Value,
+/// span-duration, solver, and gating-activity rollups are keyed by
+/// `(track, name)` in bounded mode, because a P² estimate depends on
+/// arrival order and parallel workers interleave. Exact mode files them
+/// all under track 0: its statistics do not depend on arrival order
+/// except through the floating-point sum, which thereby stays in trace
+/// order. Name-level queries ([`TraceAnalysis::rollup`],
+/// [`TraceAnalysis::span`], [`TraceAnalysis::solver`]) merge a name's
+/// tracks in track order, so their answers do not depend on how the
+/// workers interleaved either. All keyed collections preserve
 /// first-appearance order, so reports over a deterministic trace are
 /// deterministic.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceAnalysis {
+    exact: bool,
     /// Well-formed events folded in.
     pub events: u64,
     kind_counts: [u64; EventKind::ALL.len()],
-    /// Counter totals by name.
+    /// Counter totals by name (summed across tracks).
     pub counters: Vec<(String, u64)>,
-    /// Gauge/histogram value rollups by name.
-    pub rollups: Vec<(String, Rollup)>,
-    /// Span pairing and durations by name.
-    pub spans: Vec<(String, SpanStats)>,
+    /// Gauge/histogram/frame value rollups.
+    pub rollups: Vec<(TrackKey, Rollup)>,
+    /// Span pairing outcomes and durations.
+    pub spans: Vec<(TrackKey, SpanStats)>,
+    /// Open-span depth by the `(track, name)` the events carry.
+    span_depth: Vec<(TrackKey, u64)>,
     /// Solver-convergence rollups by solve site.
-    pub solvers: Vec<(String, SolverRollup)>,
+    pub solvers: Vec<(TrackKey, SolverRollup)>,
     /// Gating-churn aggregate.
     pub gating: GatingStats,
     /// Voltage-emergency aggregate.
@@ -513,9 +785,10 @@ pub struct TraceAnalysis {
     pub first_t_s: Option<f64>,
     /// Timestamp of the last event.
     pub last_t_s: Option<f64>,
-    /// Malformed interior lines the reader skipped.
+    /// Malformed lines the feeding reader skipped.
     pub malformed_lines: u64,
-    /// Whether the trace ended in a truncated final line.
+    /// Whether the trace ended (or, while tailing, currently ends) in a
+    /// truncated final line.
     pub truncated: bool,
 }
 
@@ -526,22 +799,97 @@ fn kind_index(kind: EventKind) -> usize {
         .expect("kind is in ALL")
 }
 
-/// Finds or inserts `name` in an order-preserving name-keyed vector.
-fn entry<'v, T: Default>(vec: &'v mut Vec<(String, T)>, name: &str) -> &'v mut T {
-    if let Some(i) = vec.iter().position(|(n, _)| n == name) {
-        return &mut vec[i].1;
+/// Finds or inserts `(track, name)` in an order-preserving keyed vector.
+/// The search runs newest-first: the keys a sweep is filling are the
+/// ones its running cells inserted last.
+fn entry<'v, T>(
+    vec: &'v mut Vec<(TrackKey, T)>,
+    track: u64,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> &'v mut T {
+    match vec.iter().rposition(|((t, n), _)| *t == track && n == name) {
+        Some(i) => &mut vec[i].1,
+        None => {
+            vec.push(((track, name.to_string()), make()));
+            &mut vec.last_mut().expect("just pushed").1
+        }
     }
-    vec.push((name.to_string(), T::default()));
-    &mut vec.last_mut().expect("just pushed").1
+}
+
+/// The distinct names of a keyed vector, in first-appearance order.
+fn names<T>(vec: &[(TrackKey, T)]) -> Vec<&str> {
+    let mut out: Vec<&str> = Vec::new();
+    for ((_, name), _) in vec {
+        if !out.contains(&name.as_str()) {
+            out.push(name);
+        }
+    }
+    out
+}
+
+/// The entries of one name in a keyed vector, with their tracks.
+fn tracks_of<'v, T>(vec: &'v [(TrackKey, T)], name: &str) -> Vec<(u64, &'v T)> {
+    vec.iter()
+        .filter(|((_, n), _)| n == name)
+        .map(|((t, _), v)| (*t, v))
+        .collect()
+}
+
+/// A name-level view over per-track entries: the only entry as it is,
+/// or all of them merged in track order; `None` when there are none.
+fn merged<T: Merge>(mut parts: Vec<(u64, &T)>) -> Option<Cow<'_, T>> {
+    parts.sort_by_key(|(track, _)| *track);
+    let ((_, first), rest) = parts.split_first()?;
+    if rest.is_empty() {
+        return Some(Cow::Borrowed(*first));
+    }
+    let mut acc = (*first).clone();
+    for (_, part) in rest {
+        acc.merge(part);
+    }
+    Some(Cow::Owned(acc))
+}
+
+impl Default for TraceAnalysis {
+    fn default() -> Self {
+        TraceAnalysis::new()
+    }
 }
 
 impl TraceAnalysis {
-    /// An empty analysis.
+    /// An empty exact-mode analysis.
     pub fn new() -> Self {
-        TraceAnalysis::default()
+        TraceAnalysis::with_mode(true)
     }
 
-    /// Streams every event of a byte source into a fresh analysis.
+    /// An empty bounded-mode analysis: memory grows with the number of
+    /// distinct `(track, name)` keys, never with the number of events.
+    pub fn bounded() -> Self {
+        TraceAnalysis::with_mode(false)
+    }
+
+    fn with_mode(exact: bool) -> Self {
+        TraceAnalysis {
+            exact,
+            events: 0,
+            kind_counts: [0; EventKind::ALL.len()],
+            counters: Vec::new(),
+            rollups: Vec::new(),
+            spans: Vec::new(),
+            span_depth: Vec::new(),
+            solvers: Vec::new(),
+            gating: GatingStats::default(),
+            emergency: EmergencyStats::default(),
+            first_t_s: None,
+            last_t_s: None,
+            malformed_lines: 0,
+            truncated: false,
+        }
+    }
+
+    /// Streams every event of a byte source into a fresh exact
+    /// analysis.
     ///
     /// # Errors
     ///
@@ -549,18 +897,11 @@ impl TraceAnalysis {
     /// [`malformed_lines`](TraceAnalysis::malformed_lines) /
     /// [`truncated`](TraceAnalysis::truncated).
     pub fn from_reader(reader: impl BufRead) -> io::Result<Self> {
-        let mut trace = TraceReader::new(reader);
-        let mut analysis = TraceAnalysis::new();
-        while let Some(event) = trace.next_event()? {
-            analysis.observe(&event);
-        }
-        analysis.malformed_lines = trace.malformed_lines();
-        analysis.truncated = trace.truncated();
-        Ok(analysis)
+        TraceAnalysis::new().read_from(reader)
     }
 
     /// Streams a trace file (conventionally `trace.jsonl`) into a fresh
-    /// analysis.
+    /// exact analysis.
     ///
     /// # Errors
     ///
@@ -570,33 +911,66 @@ impl TraceAnalysis {
         TraceAnalysis::from_reader(BufReader::new(file))
     }
 
-    /// Folds one event in.
-    pub fn observe(&mut self, event: &ParsedEvent) {
-        self.events += 1;
-        self.kind_counts[kind_index(event.kind)] += 1;
-        if self.first_t_s.is_none() {
-            self.first_t_s = Some(event.t_s);
+    /// Streams every event of a byte source into this analysis, keeping
+    /// its mode, and records the reader's malformed / truncated state.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors only.
+    pub fn read_from(mut self, reader: impl BufRead) -> io::Result<Self> {
+        let mut trace = TraceReader::new(reader);
+        while let Some(event) = trace.next_event()? {
+            self.observe(&event);
         }
-        self.last_t_s = Some(self.last_t_s.map_or(event.t_s, |t| t.max(event.t_s)));
-        match event.kind {
+        self.malformed_lines = trace.malformed_lines();
+        self.truncated = trace.truncated();
+        Ok(self)
+    }
+
+    /// Folds one event in — a parsed trace line or an emit-side event;
+    /// both produce identical state for the same stream.
+    pub fn observe(&mut self, event: &impl EventView) {
+        self.events += 1;
+        self.kind_counts[kind_index(event.kind())] += 1;
+        let t = event.t_s();
+        if self.first_t_s.is_none() {
+            self.first_t_s = Some(t);
+        }
+        self.last_t_s = Some(self.last_t_s.map_or(t, |prev| prev.max(t)));
+        let exact = self.exact;
+        let name = event.name();
+        let track = event.track();
+        // Exact mode files every track under 0 (see the type docs).
+        let lane = if exact { 0 } else { track };
+        match event.kind() {
             EventKind::Counter => {
-                *entry(&mut self.counters, &event.name) += event.field_u64("delta").unwrap_or(1);
+                let delta = event.num_u64("delta").unwrap_or(1);
+                match self.counters.iter_mut().find(|(n, _)| n == name) {
+                    Some((_, total)) => *total += delta,
+                    None => self.counters.push((name.to_string(), delta)),
+                }
             }
             EventKind::Gauge | EventKind::Histogram => {
-                let rollup = entry(&mut self.rollups, &event.name);
-                match event.field_f64("value") {
+                let rollup = entry(&mut self.rollups, lane, name, || Rollup::new(exact));
+                match event.num("value") {
                     Some(v) => rollup.observe(v),
                     None => rollup.note_invalid(),
                 }
             }
             EventKind::SpanStart => {
-                entry::<SpanStats>(&mut self.spans, &event.name).open += 1;
+                *entry(&mut self.span_depth, track, name, || 0) += 1;
+                entry(&mut self.spans, lane, name, || SpanStats::new(exact)).open += 1;
             }
             EventKind::SpanEnd => {
-                let span = entry::<SpanStats>(&mut self.spans, &event.name);
-                if span.open > 0 {
+                let depth = entry(&mut self.span_depth, track, name, || 0);
+                let paired = *depth > 0;
+                if paired {
+                    *depth -= 1;
+                }
+                let span = entry(&mut self.spans, lane, name, || SpanStats::new(exact));
+                if paired {
                     span.open -= 1;
-                    match event.field_f64("dur_s") {
+                    match event.num("dur_s") {
                         Some(d) => span.durations.observe(d),
                         None => span.durations.note_invalid(),
                     }
@@ -605,41 +979,49 @@ impl TraceAnalysis {
                 }
             }
             EventKind::Solve => {
-                let solver = entry::<SolverRollup>(&mut self.solvers, &event.name);
-                match event.field_f64("iters") {
+                let solver = entry(&mut self.solvers, lane, name, || SolverRollup::new(exact));
+                match event.num("iters") {
                     Some(i) => solver.iters.observe(i),
                     None => solver.iters.note_invalid(),
                 }
-                match event.field_f64("residual") {
+                match event.num("residual") {
                     Some(r) => solver.residuals.observe(r),
                     None => solver.residuals.note_invalid(),
                 }
             }
             EventKind::Gating => {
-                self.gating.decisions += 1;
-                self.gating.turned_on += event.field_u64("turned_on").unwrap_or(0);
-                self.gating.turned_off += event.field_u64("turned_off").unwrap_or(0);
-                match event.field_f64("active") {
-                    Some(a) => self.gating.active.observe(a),
-                    None => self.gating.active.note_invalid(),
+                let gating = &mut self.gating;
+                gating.decisions += 1;
+                gating.turned_on += event.num_u64("turned_on").unwrap_or(0);
+                gating.turned_off += event.num_u64("turned_off").unwrap_or(0);
+                let active = match gating.active_by_track.iter().position(|(t, _)| *t == lane) {
+                    Some(i) => &mut gating.active_by_track[i].1,
+                    None => {
+                        gating.active_by_track.push((lane, Rollup::new(exact)));
+                        &mut gating.active_by_track.last_mut().expect("just pushed").1
+                    }
+                };
+                match event.num("active") {
+                    Some(a) => active.observe(a),
+                    None => active.note_invalid(),
                 }
             }
             EventKind::Emergency => {
                 self.emergency.checks += 1;
-                let flagged = event.field_u64("flagged_domains").unwrap_or(0);
+                let flagged = event.num_u64("flagged_domains").unwrap_or(0);
                 if flagged > 0 {
                     self.emergency.with_emergency += 1;
                 }
                 self.emergency.flagged_domains += flagged;
-                self.emergency.true_domains += event.field_u64("true_domains").unwrap_or(0);
-                self.emergency.mispredicted += event.field_u64("mispredicted").unwrap_or(0);
+                self.emergency.true_domains += event.num_u64("true_domains").unwrap_or(0);
+                self.emergency.mispredicted += event.num_u64("mispredicted").unwrap_or(0);
             }
             // Frame payloads (grid data, lanes) are consumed by the
             // timeline exporter, not the aggregate rollups; hotspot
             // magnitude rides along as a plain value rollup when present.
             EventKind::Frame => {
-                if let Some(v) = event.field_f64("value") {
-                    entry::<Rollup>(&mut self.rollups, &event.name).observe(v);
+                if let Some(v) = event.num("value") {
+                    entry(&mut self.rollups, lane, name, || Rollup::new(exact)).observe(v);
                 }
             }
             EventKind::Progress => {}
@@ -659,19 +1041,39 @@ impl TraceAnalysis {
             .map_or(0, |(_, v)| *v)
     }
 
-    /// The gauge/histogram rollup for one name.
-    pub fn rollup(&self, name: &str) -> Option<&Rollup> {
-        self.rollups.iter().find(|(n, _)| n == name).map(|(_, r)| r)
+    /// Names carrying a value rollup, in first-appearance order.
+    pub fn rollup_names(&self) -> Vec<&str> {
+        names(&self.rollups)
     }
 
-    /// The span stats for one name.
-    pub fn span(&self, name: &str) -> Option<&SpanStats> {
-        self.spans.iter().find(|(n, _)| n == name).map(|(_, s)| s)
+    /// The value rollup of one name, merged across tracks.
+    pub fn rollup(&self, name: &str) -> Option<Cow<'_, Rollup>> {
+        merged(tracks_of(&self.rollups, name))
     }
 
-    /// The solver rollup for one solve site.
-    pub fn solver(&self, name: &str) -> Option<&SolverRollup> {
-        self.solvers.iter().find(|(n, _)| n == name).map(|(_, s)| s)
+    /// Span names, in first-appearance order.
+    pub fn span_names(&self) -> Vec<&str> {
+        names(&self.spans)
+    }
+
+    /// The span stats of one name, merged across tracks.
+    pub fn span(&self, name: &str) -> Option<Cow<'_, SpanStats>> {
+        merged(tracks_of(&self.spans, name))
+    }
+
+    /// Solve sites, in first-appearance order.
+    pub fn solver_names(&self) -> Vec<&str> {
+        names(&self.solvers)
+    }
+
+    /// The solver rollup of one solve site, merged across tracks.
+    pub fn solver(&self, site: &str) -> Option<Cow<'_, SolverRollup>> {
+        merged(tracks_of(&self.solvers, site))
+    }
+
+    /// Total solve events across all sites.
+    pub fn total_solves(&self) -> u64 {
+        self.solvers.iter().map(|(_, s)| s.solves()).sum()
     }
 
     /// Span of event timestamps (0.0 for empty or single-event traces).
@@ -682,8 +1084,8 @@ impl TraceAnalysis {
         }
     }
 
-    /// Spans left open or ended without a start, summed over all names
-    /// — 0 for a cleanly recorded trace.
+    /// Spans left open or ended without a start on their track, summed
+    /// over all names — 0 for a cleanly recorded trace.
     pub fn unpaired_spans(&self) -> u64 {
         self.spans
             .iter()
@@ -704,10 +1106,12 @@ impl TraceAnalysis {
 /// Everything else (counters, span starts, progress) carries no
 /// plottable instantaneous value and contributes nothing. This is the
 /// mapping behind `tg-obs export`: T_max arrives as the
-/// `thermal.max_silicon_c` gauge, worst window noise as the
-/// `engine.window_noise_pct` histogram / `pdn.noise_max_pct` gauge,
-/// `n_on` as `engine.gating.active`, and solver residuals as
-/// `<site>.residual`.
+/// `thermal.max_silicon_c` gauge, the measured per-window noise (after
+/// the detector backstop clips a missed droop; Fig. 14) as the
+/// `engine.window_noise_pct` histogram, the raw peak of every noise
+/// analysis — the VT policies' ground-truth checks included — as the
+/// `pdn.noise_max_pct` gauge, `n_on` as `engine.gating.active`, and
+/// solver residuals as `<site>.residual`.
 pub fn series_points(event: &ParsedEvent, out: &mut Vec<(String, f64)>) {
     match event.kind {
         EventKind::Gauge | EventKind::Histogram => {
@@ -804,7 +1208,7 @@ mod tests {
         assert_eq!(a.gating.turned_off, 4);
         assert_eq!(a.gating.churn(), 8);
         assert_eq!(a.gating.churn_per_decision(), Some(2.0));
-        assert_eq!(a.gating.active.mean(), Some(11.5));
+        assert_eq!(a.gating.active().unwrap().mean(), Some(11.5));
 
         assert_eq!(a.emergency.checks, 2);
         assert_eq!(a.emergency.with_emergency, 1);
@@ -886,6 +1290,162 @@ mod tests {
         assert_eq!(a.span("a").unwrap().unmatched_ends, 1);
         assert_eq!(a.span("b").unwrap().open, 1);
         assert_eq!(a.unpaired_spans(), 2);
+    }
+
+    #[test]
+    fn spans_pair_per_track() {
+        // A track-2 end must not close the track-0 start of the same
+        // name: it is an unmatched end, and the real end pairs later.
+        let lines = "\
+            {\"t\":0.0,\"kind\":\"span_start\",\"name\":\"run\"}\n\
+            {\"t\":0.1,\"kind\":\"span_end\",\"name\":\"run\",\"dur_s\":0.1,\"track\":2}\n\
+            {\"t\":0.13,\"kind\":\"span_end\",\"name\":\"run\",\"dur_s\":0.13}\n";
+        for mut a in [TraceAnalysis::new(), TraceAnalysis::bounded()] {
+            a = a.read_from(lines.as_bytes()).unwrap();
+            let run = a.span("run").unwrap();
+            assert_eq!(run.completed(), 1);
+            assert_eq!(run.open, 0);
+            assert_eq!(run.unmatched_ends, 1);
+            assert_eq!(run.durations.max(), Some(0.13));
+            assert_eq!(a.unpaired_spans(), 1);
+        }
+    }
+
+    /// A stream of solve, gauge, gating, and span events on three
+    /// tracks, each track in its own order.
+    fn per_track_streams() -> Vec<Vec<Event>> {
+        (1..=3u64)
+            .map(|track| {
+                let sink = std::sync::Arc::new(crate::telemetry::MemorySink::default());
+                let tel = Telemetry::with_sink_tracked(sink.clone(), track);
+                let _cell = tel.span("sweep.cell");
+                for k in 0..40u64 {
+                    let x = (k * 37 + track * 11) % 53;
+                    tel.solve("pdn.ir_cg", 20 + x as usize, 1e-9 * (x + 1) as f64);
+                    tel.histogram("engine.window_noise_pct", 3.0 + x as f64 / 7.0);
+                    tel.event(EventKind::Gating, "engine.gating")
+                        .field_u64("active", 8 + x % 9)
+                        .emit();
+                }
+                drop(_cell);
+                sink.events()
+            })
+            .collect()
+    }
+
+    /// Interleaves the per-track streams round-robin, visiting the
+    /// tracks in `order`; each track keeps its own event order.
+    fn interleave(streams: &[Vec<Event>], order: &[usize]) -> Vec<Event> {
+        let mut cursors = vec![0; streams.len()];
+        let mut out = Vec::new();
+        while out.len() < streams.iter().map(Vec::len).sum() {
+            for &s in order {
+                for _ in 0..=s {
+                    if let Some(e) = streams[s].get(cursors[s]) {
+                        out.push(e.clone());
+                        cursors[s] += 1;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn bounded_results_do_not_depend_on_track_interleaving() {
+        let streams = per_track_streams();
+        let fold = |events: Vec<Event>| {
+            let mut a = TraceAnalysis::bounded();
+            for e in &events {
+                a.observe(e);
+            }
+            a
+        };
+        let a = fold(interleave(&streams, &[0, 1, 2]));
+        let b = fold(interleave(&streams, &[2, 0, 1]));
+        for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
+            let (sa, sb) = (
+                a.solver("pdn.ir_cg").unwrap(),
+                b.solver("pdn.ir_cg").unwrap(),
+            );
+            assert_eq!(sa.iters.percentile(p), sb.iters.percentile(p), "iters p{p}");
+            assert_eq!(sa.residuals.percentile(p), sb.residuals.percentile(p));
+            let (ra, rb) = (
+                a.rollup("engine.window_noise_pct"),
+                b.rollup("engine.window_noise_pct"),
+            );
+            assert_eq!(
+                ra.unwrap().percentile(p),
+                rb.unwrap().percentile(p),
+                "noise p{p}"
+            );
+            let (ga, gb) = (a.gating.active().unwrap(), b.gating.active().unwrap());
+            assert_eq!(ga.percentile(p), gb.percentile(p), "active p{p}");
+        }
+        assert_eq!(
+            a.rollup("engine.window_noise_pct").unwrap().mean(),
+            b.rollup("engine.window_noise_pct").unwrap().mean()
+        );
+        assert_eq!(a.span("sweep.cell"), b.span("sweep.cell"));
+        assert_eq!(a.total_solves(), 120);
+    }
+
+    #[test]
+    fn exact_mode_matches_a_single_stream_fold_on_multi_track_traces() {
+        // Exact statistics over interleaved tracks equal the statistics
+        // of the merged stream in arrival order, bit for bit — the sum
+        // included.
+        let events = interleave(&per_track_streams(), &[1, 2, 0]);
+        let mut a = TraceAnalysis::new();
+        let mut values = Vec::new();
+        for e in &events {
+            a.observe(e);
+            if e.name == "engine.window_noise_pct" {
+                values.push(e.num("value").unwrap());
+            }
+        }
+        let noise = a.rollup("engine.window_noise_pct").unwrap();
+        assert_eq!(noise.values(), Some(values.as_slice()));
+        assert_eq!(noise.sum().to_bits(), values.iter().sum::<f64>().to_bits());
+        assert_eq!(noise.mean(), stats::mean(&values));
+        assert_eq!(noise.percentile(37.5), stats::percentile(&values, 37.5));
+        assert_eq!(a.span("sweep.cell").unwrap().completed(), 3);
+        assert_eq!(a.unpaired_spans(), 0);
+    }
+
+    #[test]
+    fn bounded_mode_stores_nothing_per_observation() {
+        let streams = per_track_streams();
+        let footprint = |rounds: usize| {
+            let mut a = TraceAnalysis::bounded();
+            for _ in 0..rounds {
+                for stream in &streams {
+                    for e in stream {
+                        a.observe(e);
+                    }
+                }
+            }
+            let rollups = a
+                .rollups
+                .iter()
+                .map(|(_, r)| r)
+                .chain(a.spans.iter().map(|(_, s)| &s.durations))
+                .chain(a.solvers.iter().flat_map(|(_, s)| [&s.iters, &s.residuals]))
+                .chain(a.gating.active_by_track.iter().map(|(_, r)| r));
+            let mut kept = 0;
+            for r in rollups {
+                assert_eq!(r.values(), None);
+                kept += 1;
+            }
+            (a.events, kept, a.span_depth.len(), a.counters.len())
+        };
+        let (small_events, small_kept, small_depth, small_counters) = footprint(1);
+        let (large_events, large_kept, large_depth, large_counters) = footprint(50);
+        assert_eq!(large_events, 50 * small_events);
+        assert_eq!(
+            (small_kept, small_depth, small_counters),
+            (large_kept, large_depth, large_counters)
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Live (streaming) trace aggregation with bounded memory.
+//! Live (streaming) aggregation with bounded memory.
 //!
-//! [`analyze`](super::analyze) keeps every finite observation so its
+//! [`TraceAnalysis`] in exact mode keeps every finite observation so its
 //! percentiles are exact — the right trade for a finished trace, but a
 //! watcher that follows a multi-hour sweep cannot afford a growing
 //! buffer per metric, and an in-process health monitor must not turn
-//! the run it watches into an allocation benchmark. This module is the
-//! streaming half of that story:
+//! the run it watches into an allocation benchmark. This module holds
+//! the two pieces behind the analysis's bounded mode:
 //!
 //! * [`P2Grid`] — an extended-P² (Jain & Chlamtac; Raatikainen's
 //!   multi-quantile extension) marker grid: thirteen markers tracking
@@ -14,26 +14,16 @@
 //!   exact [`stats::percentile`] in tests.
 //!   The dense grid keeps every reported quantile's interpolation
 //!   bracket narrow, which is what lets the estimate survive bimodal
-//!   gaps and heavy tails that defeat the classic five-marker form;
-//! * [`StreamingRollup`] — exact count / min / max / mean plus grid
-//!   estimates for p50/p95/p99, mirroring the fields of the batch
-//!   [`Rollup`](super::analyze::Rollup);
-//! * [`LiveStats`] — a full incremental trace aggregate: per-kind
-//!   event counts, counter totals, per-`(track, name)` value rollups,
-//!   gating / emergency / solver aggregates. Counter, gating, and
-//!   emergency totals are *exact* and match
-//!   [`TraceAnalysis`](super::analyze::TraceAnalysis) on a completed
-//!   trace; only rollup percentiles are estimates;
-//! * [`LiveSink`] — a [`TelemetrySink`] folding events into a
-//!   [`LiveStats`] as they are emitted, self-timing its own cost so a
-//!   run can report (and CI can gate) the overhead of being watched.
-//!
-//! The [`rules`](super::rules) module evaluates health rules over a
-//! [`LiveStats`]; `tg-obs watch` re-renders one as a live status line.
+//!   gaps and heavy tails that defeat the classic five-marker form.
+//!   A bounded [`Rollup`](super::analyze::Rollup) ranks through one;
+//! * [`LiveSink`] — a [`TelemetrySink`] folding events into a bounded
+//!   [`TraceAnalysis`] as they are emitted, self-timing its own cost so
+//!   a run can report (and CI can gate) the overhead of being watched.
+//!   `experiments::telemetry::TelemetryCtx` attaches one to every
+//!   traced run; its snapshot feeds the run's metrics table.
 
-use super::analyze::{EmergencyStats, ParsedEvent};
-use super::json::JsonValue;
-use super::{Event, EventKind, FieldValue, TelemetrySink};
+use super::analyze::TraceAnalysis;
+use super::{Event, TelemetrySink};
 use crate::stats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -182,497 +172,29 @@ impl P2Grid {
     }
 }
 
-/// Bounded-memory distribution rollup of one named value stream: exact
-/// count / non-finite count / min / max / mean, streaming p50/p95/p99.
-///
-/// The streaming counterpart of the batch
-/// [`Rollup`](super::analyze::Rollup); the exact fields agree with it
-/// bit for bit, the percentiles within the P² tolerance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingRollup {
-    count: u64,
-    non_finite: u64,
-    min: f64,
-    max: f64,
-    sum: f64,
-    quantiles: P2Grid,
-}
-
-impl Default for StreamingRollup {
-    fn default() -> Self {
-        StreamingRollup {
-            count: 0,
-            non_finite: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            quantiles: P2Grid::new(),
-        }
-    }
-}
-
-impl StreamingRollup {
-    /// An empty rollup.
-    pub fn new() -> Self {
-        StreamingRollup::default()
-    }
-
-    /// Folds one observation in (non-finite values are counted but not
-    /// ranked, matching the batch rollup).
-    pub fn observe(&mut self, value: f64) {
-        if value.is_finite() {
-            self.count += 1;
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-            self.sum += value;
-            self.quantiles.observe(value);
-        } else {
-            self.non_finite += 1;
-        }
-    }
-
-    /// Counts an observation that carried no usable number.
-    pub fn note_invalid(&mut self) {
-        self.non_finite += 1;
-    }
-
-    /// Number of finite observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Number of non-finite / unusable observations.
-    pub fn non_finite(&self) -> u64 {
-        self.non_finite
-    }
-
-    /// Sum of finite observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of finite observations; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Smallest finite observation; `None` when empty (exact).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest finite observation; `None` when empty (exact).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Streaming percentile estimate. Supported points: 0 and 100
-    /// (exact min/max), 50, 95, and 99 (P² grid estimates); anything
-    /// else returns `None` — the streaming layer only tracks the
-    /// quantiles the reports and rules use.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        match p {
-            0.0 => self.min(),
-            50.0 | 95.0 | 99.0 => self.quantiles.estimate(p / 100.0),
-            100.0 => self.max(),
-            _ => None,
-        }
-    }
-}
-
-/// Exact gating aggregate (streaming twin of
-/// [`GatingStats`](super::analyze::GatingStats); only the active-count
-/// distribution is estimated).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LiveGating {
-    /// Gating events seen.
-    pub decisions: u64,
-    /// Regulators switched on across all decisions.
-    pub turned_on: u64,
-    /// Regulators switched off across all decisions.
-    pub turned_off: u64,
-    /// Active-regulator count per decision.
-    pub active: StreamingRollup,
-}
-
-impl LiveGating {
-    /// Total switching activity (on + off transitions).
-    pub fn churn(&self) -> u64 {
-        self.turned_on + self.turned_off
-    }
-
-    /// Mean switching activity per decision; `None` with no decisions.
-    pub fn churn_per_decision(&self) -> Option<f64> {
-        if self.decisions == 0 {
-            None
-        } else {
-            Some(self.churn() as f64 / self.decisions as f64)
-        }
-    }
-}
-
-/// Solver-convergence streaming rollup for one solve site.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LiveSolver {
-    /// Iterations per solve.
-    pub iters: StreamingRollup,
-    /// Final relative residual per solve.
-    pub residuals: StreamingRollup,
-}
-
-impl LiveSolver {
-    /// Number of solve events folded in.
-    pub fn solves(&self) -> u64 {
-        self.iters.count() + self.iters.non_finite()
-    }
-}
-
-/// The event fields the live aggregator reads, abstracted over the
-/// emit-side [`Event`] (in-process [`LiveSink`]) and the consume-side
-/// [`ParsedEvent`] (trace tailing) so both fold through one code path.
-///
-/// Numeric access mirrors the JSONL round trip: an emit-side non-finite
-/// float reads as `None`, exactly as its `null` wire form would.
-trait EventView {
-    fn kind(&self) -> EventKind;
-    fn name(&self) -> &str;
-    fn t_s(&self) -> f64;
-    fn num(&self, key: &str) -> Option<f64>;
-
-    fn num_u64(&self, key: &str) -> Option<u64> {
-        self.num(key).map(|v| v.max(0.0) as u64)
-    }
-
-    /// The track id stamped on the event (0 when absent).
-    fn track(&self) -> u64 {
-        self.num_u64("track").unwrap_or(0)
-    }
-}
-
-impl EventView for ParsedEvent {
-    fn kind(&self) -> EventKind {
-        self.kind
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn t_s(&self) -> f64 {
-        self.t_s
-    }
-
-    fn num(&self, key: &str) -> Option<f64> {
-        self.field(key).and_then(JsonValue::as_f64)
-    }
-}
-
-impl EventView for Event {
-    fn kind(&self) -> EventKind {
-        self.kind
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn t_s(&self) -> f64 {
-        self.t_s
-    }
-
-    fn num(&self, key: &str) -> Option<f64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| match v {
-                FieldValue::U64(x) => Some(*x as f64),
-                FieldValue::I64(x) => Some(*x as f64),
-                FieldValue::F64(x) => x.is_finite().then_some(*x),
-                FieldValue::Bool(_) | FieldValue::Str(_) => None,
-            })
-    }
-}
-
-/// Finds or inserts a key in an order-preserving keyed vector.
-fn entry<K: PartialEq, T: Default>(vec: &mut Vec<(K, T)>, key: K) -> &mut T {
-    if let Some(i) = vec.iter().position(|(k, _)| *k == key) {
-        return &mut vec[i].1;
-    }
-    vec.push((key, T::default()));
-    &mut vec.last_mut().expect("just pushed").1
-}
-
-/// A full incremental trace aggregate with bounded memory.
-///
-/// Fold events in with [`LiveStats::observe`] (parsed trace lines) or
-/// [`LiveStats::observe_event`] (in-process emit-side events); both
-/// produce identical state for the same stream. On a completed trace:
-///
-/// * event totals, per-kind counts, counter totals, gating decision /
-///   churn counts, and every emergency field **equal** the batch
-///   [`TraceAnalysis`](super::analyze::TraceAnalysis) exactly;
-/// * rollup count / non-finite / min / max / mean are exact; p50 / p95
-///   / p99 are P² estimates.
-///
-/// Value rollups are keyed by `(track, name)` so concurrent sweep cells
-/// aggregate separately; [`LiveStats::merged_rollup`] combines the
-/// tracks of one name (exact moments, count-weighted percentile
-/// estimates) for name-level queries. All keyed collections preserve
-/// first-appearance order, so renderings over a deterministic stream
-/// are deterministic.
-#[derive(Debug, Clone, Default)]
-pub struct LiveStats {
-    /// Events folded in.
-    pub events: u64,
-    kind_counts: [u64; EventKind::ALL.len()],
-    /// Counter totals by name (summed across tracks).
-    pub counters: Vec<(String, u64)>,
-    /// Gauge/histogram/frame value rollups by `(track, name)`.
-    pub rollups: Vec<((u64, String), StreamingRollup)>,
-    /// Solver-convergence rollups by solve site.
-    pub solvers: Vec<(String, LiveSolver)>,
-    /// Gating-churn aggregate.
-    pub gating: LiveGating,
-    /// Voltage-emergency aggregate (shared with the batch layer — all
-    /// fields exact).
-    pub emergency: EmergencyStats,
-    /// Timestamp of the first event.
-    pub first_t_s: Option<f64>,
-    /// Timestamp of the last event.
-    pub last_t_s: Option<f64>,
-    /// Malformed lines reported by the feeding reader.
-    pub malformed_lines: u64,
-    /// Whether the feeding reader currently sees a truncated tail.
-    pub truncated: bool,
-}
-
-/// A name-level view over the per-track rollups of one name: exact
-/// moments (summed/compared across tracks), count-weighted percentile
-/// estimates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedRollup {
-    /// Finite observations across all tracks.
-    pub count: u64,
-    /// Non-finite observations across all tracks.
-    pub non_finite: u64,
-    /// Smallest finite observation (exact).
-    pub min: Option<f64>,
-    /// Largest finite observation (exact).
-    pub max: Option<f64>,
-    /// Mean of finite observations (exact).
-    pub mean: Option<f64>,
-    /// Count-weighted p50 estimate.
-    pub p50: Option<f64>,
-    /// Count-weighted p95 estimate.
-    pub p95: Option<f64>,
-    /// Count-weighted p99 estimate.
-    pub p99: Option<f64>,
-}
-
-impl MergedRollup {
-    /// The merged percentile estimate for a supported point (0, 50, 95,
-    /// 99, 100).
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        match p {
-            0.0 => self.min,
-            50.0 => self.p50,
-            95.0 => self.p95,
-            99.0 => self.p99,
-            100.0 => self.max,
-            _ => None,
-        }
-    }
-}
-
-fn kind_index(kind: EventKind) -> usize {
-    EventKind::ALL
-        .iter()
-        .position(|k| *k == kind)
-        .expect("kind is in ALL")
-}
-
-impl LiveStats {
-    /// An empty aggregate.
-    pub fn new() -> Self {
-        LiveStats::default()
-    }
-
-    /// Folds one parsed trace event in.
-    pub fn observe(&mut self, event: &ParsedEvent) {
-        self.fold(event);
-    }
-
-    /// Folds one emit-side event in (used by [`LiveSink`]; equivalent
-    /// to parsing the event's JSONL form and calling
-    /// [`LiveStats::observe`]).
-    pub fn observe_event(&mut self, event: &Event) {
-        self.fold(event);
-    }
-
-    fn fold<E: EventView>(&mut self, event: &E) {
-        self.events += 1;
-        self.kind_counts[kind_index(event.kind())] += 1;
-        let t = event.t_s();
-        if self.first_t_s.is_none() {
-            self.first_t_s = Some(t);
-        }
-        self.last_t_s = Some(self.last_t_s.map_or(t, |prev| prev.max(t)));
-        match event.kind() {
-            EventKind::Counter => {
-                *entry(&mut self.counters, event.name().to_string()) +=
-                    event.num_u64("delta").unwrap_or(1);
-            }
-            EventKind::Gauge | EventKind::Histogram => {
-                let key = (event.track(), event.name().to_string());
-                let rollup = entry(&mut self.rollups, key);
-                match event.num("value") {
-                    Some(v) => rollup.observe(v),
-                    None => rollup.note_invalid(),
-                }
-            }
-            EventKind::Solve => {
-                let solver = entry::<_, LiveSolver>(&mut self.solvers, event.name().to_string());
-                match event.num("iters") {
-                    Some(i) => solver.iters.observe(i),
-                    None => solver.iters.note_invalid(),
-                }
-                match event.num("residual") {
-                    Some(r) => solver.residuals.observe(r),
-                    None => solver.residuals.note_invalid(),
-                }
-            }
-            EventKind::Gating => {
-                self.gating.decisions += 1;
-                self.gating.turned_on += event.num_u64("turned_on").unwrap_or(0);
-                self.gating.turned_off += event.num_u64("turned_off").unwrap_or(0);
-                match event.num("active") {
-                    Some(a) => self.gating.active.observe(a),
-                    None => self.gating.active.note_invalid(),
-                }
-            }
-            EventKind::Emergency => {
-                self.emergency.checks += 1;
-                let flagged = event.num_u64("flagged_domains").unwrap_or(0);
-                if flagged > 0 {
-                    self.emergency.with_emergency += 1;
-                }
-                self.emergency.flagged_domains += flagged;
-                self.emergency.true_domains += event.num_u64("true_domains").unwrap_or(0);
-                self.emergency.mispredicted += event.num_u64("mispredicted").unwrap_or(0);
-            }
-            // Frame hotspot magnitude rides along as a value rollup,
-            // matching the batch analyzer.
-            EventKind::Frame => {
-                if let Some(v) = event.num("value") {
-                    let key = (event.track(), event.name().to_string());
-                    entry::<_, StreamingRollup>(&mut self.rollups, key).observe(v);
-                }
-            }
-            EventKind::SpanStart | EventKind::SpanEnd | EventKind::Progress => {}
-        }
-    }
-
-    /// Number of events of one kind.
-    pub fn kind_count(&self, kind: EventKind) -> u64 {
-        self.kind_counts[kind_index(kind)]
-    }
-
-    /// Total of one named counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// The value rollup of one `(track, name)` key.
-    pub fn rollup(&self, track: u64, name: &str) -> Option<&StreamingRollup> {
-        self.rollups
-            .iter()
-            .find(|((t, n), _)| *t == track && n == name)
-            .map(|(_, r)| r)
-    }
-
-    /// A name-level view merging the per-track rollups of `name`:
-    /// moments are exact; percentile estimates are count-weighted
-    /// averages of the per-track estimates (identical to the single
-    /// estimator when only one track carries the name — the common
-    /// case).
-    pub fn merged_rollup(&self, name: &str) -> Option<MergedRollup> {
-        let parts: Vec<&StreamingRollup> = self
-            .rollups
-            .iter()
-            .filter(|((_, n), _)| n == name)
-            .map(|(_, r)| r)
-            .collect();
-        if parts.is_empty() {
-            return None;
-        }
-        let count: u64 = parts.iter().map(|r| r.count()).sum();
-        let non_finite: u64 = parts.iter().map(|r| r.non_finite()).sum();
-        let sum: f64 = parts.iter().map(|r| r.sum()).sum();
-        let weighted = |pick: fn(&StreamingRollup) -> Option<f64>| -> Option<f64> {
-            let mut acc = 0.0;
-            let mut weight = 0u64;
-            for r in &parts {
-                if let Some(v) = pick(r) {
-                    acc += v * r.count() as f64;
-                    weight += r.count();
-                }
-            }
-            (weight > 0).then(|| acc / weight as f64)
-        };
-        Some(MergedRollup {
-            count,
-            non_finite,
-            min: parts
-                .iter()
-                .filter_map(|r| r.min())
-                .fold(None, |a, v| Some(a.map_or(v, |x: f64| x.min(v)))),
-            max: parts
-                .iter()
-                .filter_map(|r| r.max())
-                .fold(None, |a, v| Some(a.map_or(v, |x: f64| x.max(v)))),
-            mean: (count > 0).then(|| sum / count as f64),
-            p50: weighted(|r| r.percentile(50.0)),
-            p95: weighted(|r| r.percentile(95.0)),
-            p99: weighted(|r| r.percentile(99.0)),
-        })
-    }
-
-    /// The solver rollup of one solve site.
-    pub fn solver(&self, site: &str) -> Option<&LiveSolver> {
-        self.solvers.iter().find(|(n, _)| n == site).map(|(_, s)| s)
-    }
-
-    /// Total solve events across all sites.
-    pub fn total_solves(&self) -> u64 {
-        self.solvers.iter().map(|(_, s)| s.solves()).sum()
-    }
-
-    /// Span of event timestamps (0.0 for empty or single-event streams).
-    pub fn duration_s(&self) -> f64 {
-        match (self.first_t_s, self.last_t_s) {
-            (Some(a), Some(b)) => (b - a).max(0.0),
-            _ => 0.0,
-        }
-    }
-}
-
-/// A [`TelemetrySink`] that folds every event into a [`LiveStats`] as
-/// it is emitted, timing itself so the run can report what live
-/// aggregation cost.
+/// A [`TelemetrySink`] that folds every event into a bounded
+/// [`TraceAnalysis`] as it is emitted, timing itself so the run can
+/// report what live aggregation cost.
 ///
 /// Intended to ride in a fanout next to the JSONL sink: the run gains
-/// an in-process health view (queryable mid-run via
-/// [`LiveSink::snapshot`], fed to the rules engine) at a measured,
-/// self-reported price — [`LiveSink::overhead_us`] backs the
-/// `telemetry.live.overhead` counter and the BENCH live-overhead axis.
-#[derive(Debug, Default)]
+/// an in-process aggregate (queryable mid-run via
+/// [`LiveSink::snapshot`], rendered as the metrics table, fed to the
+/// rules engine) at a measured, self-reported price —
+/// [`LiveSink::overhead_us`] backs the `telemetry.live.overhead`
+/// counter and the BENCH live-overhead axis.
+#[derive(Debug)]
 pub struct LiveSink {
-    stats: Mutex<LiveStats>,
-    events: AtomicU64,
+    analysis: Mutex<TraceAnalysis>,
     overhead_ns: AtomicU64,
+}
+
+impl Default for LiveSink {
+    fn default() -> Self {
+        LiveSink {
+            analysis: Mutex::new(TraceAnalysis::bounded()),
+            overhead_ns: AtomicU64::new(0),
+        }
+    }
 }
 
 impl LiveSink {
@@ -682,13 +204,13 @@ impl LiveSink {
     }
 
     /// A snapshot of the aggregate state so far.
-    pub fn snapshot(&self) -> LiveStats {
-        self.stats.lock().expect("live sink poisoned").clone()
+    pub fn snapshot(&self) -> TraceAnalysis {
+        self.analysis.lock().expect("live sink poisoned").clone()
     }
 
     /// Events folded in so far.
     pub fn events(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
+        self.analysis.lock().expect("live sink poisoned").events
     }
 
     /// Total time spent inside the aggregator, whole microseconds.
@@ -700,13 +222,12 @@ impl LiveSink {
 impl TelemetrySink for LiveSink {
     fn record(&self, event: &Event) {
         let started = Instant::now();
-        self.stats
+        self.analysis
             .lock()
             .expect("live sink poisoned")
-            .observe_event(event);
+            .observe(event);
         self.overhead_ns
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        self.events.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -714,8 +235,9 @@ impl TelemetrySink for LiveSink {
 mod tests {
     use super::*;
     use crate::rng::DeterministicRng;
-    use crate::telemetry::analyze::TraceAnalysis;
-    use crate::telemetry::Telemetry;
+    use crate::telemetry::analyze::{ParsedEvent, Rollup};
+    use crate::telemetry::{EventKind, Telemetry};
+    use std::sync::Arc;
 
     /// Exact reference percentile over a sample.
     fn exact(values: &[f64], p: f64) -> f64 {
@@ -839,8 +361,8 @@ mod tests {
 
     #[test]
     fn streaming_rollup_moments_are_exact() {
-        let mut streaming = StreamingRollup::new();
-        let mut batch = crate::telemetry::analyze::Rollup::default();
+        let mut streaming = Rollup::bounded();
+        let mut batch = Rollup::exact();
         let mut rng = DeterministicRng::new(0x5eed);
         for _ in 0..500 {
             let v = rng.uniform_f64() * 200.0 - 100.0;
@@ -853,11 +375,12 @@ mod tests {
         assert_eq!(streaming.non_finite(), batch.non_finite());
         assert_eq!(streaming.min(), batch.min());
         assert_eq!(streaming.max(), batch.max());
-        let mean_err = (streaming.mean().unwrap() - batch.mean().unwrap()).abs();
-        assert!(mean_err < 1e-9, "mean drift {mean_err}");
+        assert_eq!(streaming.mean(), batch.mean());
         assert_eq!(streaming.percentile(0.0), batch.min());
         assert_eq!(streaming.percentile(100.0), batch.max());
         assert_eq!(streaming.percentile(42.0), None);
+        assert!(batch.percentile(42.0).is_some());
+        assert_eq!(streaming.values(), None);
     }
 
     /// A synthetic run exercising every aggregated kind.
@@ -890,90 +413,106 @@ mod tests {
     #[test]
     fn live_stats_match_batch_analysis_on_a_completed_trace() {
         let events = sample_events();
-        let mut live_wire = LiveStats::new();
-        let mut live_emit = LiveStats::new();
-        let mut batch = TraceAnalysis::new();
+        let mut bounded_wire = TraceAnalysis::bounded();
+        let mut bounded_emit = TraceAnalysis::bounded();
+        let mut exact_wire = TraceAnalysis::new();
+        let mut exact_emit = TraceAnalysis::new();
         for event in &events {
             let parsed = ParsedEvent::from_line(&event.to_json()).unwrap();
-            live_wire.observe(&parsed);
-            live_emit.observe_event(event);
-            batch.observe(&parsed);
+            bounded_wire.observe(&parsed);
+            bounded_emit.observe(event);
+            exact_wire.observe(&parsed);
+            exact_emit.observe(event);
         }
 
-        // Wire-side and emit-side folding agree completely.
-        assert_eq!(live_wire.events, live_emit.events);
-        assert_eq!(live_wire.counters, live_emit.counters);
-        assert_eq!(live_wire.rollups, live_emit.rollups);
-        assert_eq!(live_wire.gating, live_emit.gating);
-        assert_eq!(live_wire.emergency, live_emit.emergency);
+        // Wire-side and emit-side folding agree completely, in both
+        // modes.
+        for (wire, emit) in [(&bounded_wire, &bounded_emit), (&exact_wire, &exact_emit)] {
+            assert_eq!(wire.events, emit.events);
+            assert_eq!(wire.counters, emit.counters);
+            assert_eq!(wire.rollups, emit.rollups);
+            assert_eq!(wire.spans, emit.spans);
+            assert_eq!(wire.solvers, emit.solvers);
+            assert_eq!(wire.gating, emit.gating);
+            assert_eq!(wire.emergency, emit.emergency);
+        }
 
-        // Exact aggregates equal the batch analyzer.
-        assert_eq!(live_wire.events, batch.events);
+        // Exact aggregates agree between the modes.
+        let (bounded, exact) = (&bounded_wire, &exact_wire);
+        assert_eq!(bounded.events, exact.events);
         for kind in EventKind::ALL {
-            assert_eq!(
-                live_wire.kind_count(kind),
-                batch.kind_count(kind),
-                "{kind:?}"
-            );
+            assert_eq!(bounded.kind_count(kind), exact.kind_count(kind), "{kind:?}");
         }
         assert_eq!(
-            live_wire.counter("engine.decisions"),
-            batch.counter("engine.decisions")
+            bounded.counter("engine.decisions"),
+            exact.counter("engine.decisions")
         );
-        assert_eq!(live_wire.gating.decisions, batch.gating.decisions);
-        assert_eq!(live_wire.gating.turned_on, batch.gating.turned_on);
-        assert_eq!(live_wire.gating.turned_off, batch.gating.turned_off);
-        assert_eq!(live_wire.gating.churn(), batch.gating.churn());
-        assert_eq!(live_wire.emergency, batch.emergency);
-        assert_eq!(live_wire.first_t_s, batch.first_t_s);
-        assert_eq!(live_wire.last_t_s, batch.last_t_s);
+        assert_eq!(bounded.gating.decisions, exact.gating.decisions);
+        assert_eq!(bounded.gating.turned_on, exact.gating.turned_on);
+        assert_eq!(bounded.gating.turned_off, exact.gating.turned_off);
+        assert_eq!(bounded.gating.churn(), exact.gating.churn());
+        assert_eq!(bounded.emergency, exact.emergency);
+        assert_eq!(bounded.first_t_s, exact.first_t_s);
+        assert_eq!(bounded.last_t_s, exact.last_t_s);
 
         // Rollup moments are exact; percentiles near the exact values.
-        let live_noise = live_wire.merged_rollup("engine.window_noise_pct").unwrap();
-        let batch_noise = batch.rollup("engine.window_noise_pct").unwrap();
-        assert_eq!(live_noise.count, batch_noise.count());
-        assert_eq!(live_noise.min, batch_noise.min());
-        assert_eq!(live_noise.max, batch_noise.max());
-        assert!((live_noise.mean.unwrap() - batch_noise.mean().unwrap()).abs() < 1e-12);
-        let p50_err = (live_noise.p50.unwrap() - batch_noise.percentile(50.0).unwrap()).abs();
+        let live_noise = bounded.rollup("engine.window_noise_pct").unwrap();
+        let batch_noise = exact.rollup("engine.window_noise_pct").unwrap();
+        assert_eq!(live_noise.count(), batch_noise.count());
+        assert_eq!(live_noise.min(), batch_noise.min());
+        assert_eq!(live_noise.max(), batch_noise.max());
+        assert_eq!(live_noise.mean(), batch_noise.mean());
+        let p50_err =
+            (live_noise.percentile(50.0).unwrap() - batch_noise.percentile(50.0).unwrap()).abs();
         assert!(p50_err <= 1.0, "p50 estimate off by {p50_err}");
 
         // Non-finite gauges are counted, not ranked.
-        let bad = live_wire.merged_rollup("bad.gauge").unwrap();
-        assert_eq!((bad.count, bad.non_finite), (0, 1));
+        let bad = bounded.rollup("bad.gauge").unwrap();
+        assert_eq!((bad.count(), bad.non_finite()), (0, 1));
 
         // Solver sites roll up with exact solve counts.
-        let gs = live_wire.solver("thermal.gs").unwrap();
-        assert_eq!(gs.solves(), batch.solver("thermal.gs").unwrap().solves());
+        let gs = bounded.solver("thermal.gs").unwrap();
+        assert_eq!(gs.solves(), exact.solver("thermal.gs").unwrap().solves());
         assert_eq!(
             gs.iters.min(),
-            batch.solver("thermal.gs").unwrap().iters.min()
+            exact.solver("thermal.gs").unwrap().iters.min()
         );
-        assert_eq!(live_wire.total_solves(), 40);
+        assert_eq!(bounded.total_solves(), 40);
+        assert_eq!(
+            bounded.span("engine.run").unwrap().completed(),
+            exact.span("engine.run").unwrap().completed()
+        );
     }
 
     #[test]
     fn rollups_are_keyed_per_track() {
-        let sink = std::sync::Arc::new(LiveSink::new());
+        let sink = Arc::new(LiveSink::new());
         let t0 = Telemetry::with_sink(sink.clone());
         let t1 = Telemetry::with_sink_tracked(sink.clone(), 1);
         t0.gauge("cell.metric", 1.0);
         t1.gauge("cell.metric", 100.0);
         t1.gauge("cell.metric", 200.0);
         let stats = sink.snapshot();
-        assert_eq!(stats.rollup(0, "cell.metric").unwrap().count(), 1);
-        assert_eq!(stats.rollup(1, "cell.metric").unwrap().count(), 2);
-        assert_eq!(stats.rollup(2, "cell.metric"), None);
-        let merged = stats.merged_rollup("cell.metric").unwrap();
-        assert_eq!(merged.count, 3);
-        assert_eq!(merged.min, Some(1.0));
-        assert_eq!(merged.max, Some(200.0));
-        assert!((merged.mean.unwrap() - 301.0 / 3.0).abs() < 1e-12);
+        let per_track = |track: u64| {
+            stats
+                .rollups
+                .iter()
+                .find(|((t, n), _)| *t == track && n == "cell.metric")
+                .map(|(_, r)| r.count())
+        };
+        assert_eq!(per_track(0), Some(1));
+        assert_eq!(per_track(1), Some(2));
+        assert_eq!(per_track(2), None);
+        let merged = stats.rollup("cell.metric").unwrap();
+        assert_eq!(merged.count(), 3);
+        assert_eq!(merged.min(), Some(1.0));
+        assert_eq!(merged.max(), Some(200.0));
+        assert!((merged.mean().unwrap() - 301.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn live_sink_counts_events_and_time() {
-        let sink = std::sync::Arc::new(LiveSink::new());
+        let sink = Arc::new(LiveSink::new());
         let tel = Telemetry::with_sink(sink.clone());
         for k in 0..100 {
             tel.counter("ticks", k);
@@ -988,13 +527,58 @@ mod tests {
     }
 
     #[test]
+    fn live_sink_aggregates_counters_and_histograms() {
+        let sink = Arc::new(LiveSink::new());
+        let tel = Telemetry::with_sink(sink.clone());
+        tel.counter("engine.steps", 100);
+        tel.counter("engine.steps", 50);
+        tel.histogram("noise.pct", 1.0);
+        tel.histogram("noise.pct", 3.0);
+        tel.gauge("thermal.max_c", 85.0);
+        let stats = sink.snapshot();
+        assert_eq!(stats.rollup("noise.pct").unwrap().values(), None);
+        assert_eq!(stats.counter("engine.steps"), 150);
+        let h = stats.rollup("noise.pct").expect("histogram exists");
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.mean(), Some(2.0));
+        assert_eq!(h.min(), Some(1.0));
+        assert_eq!(h.max(), Some(3.0));
+        let g = stats.rollup("thermal.max_c").expect("gauge recorded");
+        assert_eq!(g.count(), 1);
+        assert_eq!(stats.rollup_names(), ["noise.pct", "thermal.max_c"]);
+    }
+
+    #[test]
+    fn live_sink_is_thread_safe() {
+        let sink = Arc::new(LiveSink::new());
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let tel = Telemetry::with_sink(sink.clone());
+                scope.spawn(move || {
+                    for i in 0..1000 {
+                        tel.counter("hits", 1);
+                        tel.histogram("vals", i as f64);
+                    }
+                });
+            }
+        });
+        let stats = sink.snapshot();
+        assert_eq!(stats.counter("hits"), 8000);
+        let h = stats.rollup("vals").expect("histogram exists");
+        assert_eq!(h.count(), 8000);
+        assert_eq!(h.min(), Some(0.0));
+        assert_eq!(h.max(), Some(999.0));
+    }
+
+    #[test]
     fn empty_stats_answer_safely() {
-        let stats = LiveStats::new();
+        let stats = TraceAnalysis::bounded();
         assert_eq!(stats.events, 0);
         assert_eq!(stats.counter("nope"), 0);
-        assert!(stats.merged_rollup("nope").is_none());
+        assert!(stats.rollup("nope").is_none());
         assert_eq!(stats.duration_s(), 0.0);
         assert_eq!(stats.gating.churn_per_decision(), None);
+        assert!(stats.gating.active().is_none());
         assert_eq!(stats.emergency.emergency_rate(), None);
     }
 }

@@ -86,7 +86,7 @@ fn fixture_spans_solvers_gating_emergency_are_exact() {
 
     assert_eq!(a.gating.decisions, 1);
     assert_eq!(a.gating.churn(), 3);
-    assert_eq!(a.gating.active.mean(), Some(10.0));
+    assert_eq!(a.gating.active().unwrap().mean(), Some(10.0));
 
     assert_eq!(a.emergency.checks, 1);
     assert_eq!(a.emergency.with_emergency, 1);

@@ -113,12 +113,12 @@ fn engine_run_produces_valid_trace_and_manifest() {
             required.as_str()
         );
     }
-    // The registry aggregated what the trace recorded.
-    assert!(ctx.registry().counter("engine.decisions") > 0);
-    assert!(ctx
-        .registry()
-        .histogram("engine.window_noise_pct")
-        .is_some_and(|h| h.count > 0));
+    // The in-process aggregate folded what the trace recorded.
+    let analysis = ctx.analysis();
+    assert!(analysis.counter("engine.decisions") > 0);
+    assert!(analysis
+        .rollup("engine.window_noise_pct")
+        .is_some_and(|h| h.count() > 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
