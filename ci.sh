@@ -155,6 +155,9 @@ cargo run --release -q -p experiments --bin tg-verify -- \
 cargo run --release -q -p experiments --bin tg-verify -- \
     --fast --seed=0xC1 --threads=2 --report=target/ci/verify_b.txt
 cmp target/ci/verify_a.txt target/ci/verify_b.txt
+# The recursive transient-noise filter must be checked against the
+# direct convolution it replaced: a report without that oracle fails.
+grep -q '^ok   diff.recursive_vs_direct' target/ci/verify_a.txt
 
 echo "== tg-verify: pinned solver backends (direct, cg, mgcg must all pass) =="
 # The default leg above runs under Auto; these pin the direct LDLT path,

@@ -760,7 +760,8 @@ impl<'c> SimulationEngine<'c> {
         let detector = EmergencyDetector::new();
         let mut noise_rng = DeterministicRng::new(cfg.seed ^ spec.seed() ^ 0x4E01);
 
-        // Noise windows, evenly spread over the run.
+        // Noise windows, evenly spread over the run. An off-chip supply
+        // has none: it is not measured, and it reacts to no emergency.
         let analyze_noise = policy != PolicyKind::OffChip;
         let window_steps: Vec<usize> = (0..cfg.noise_window_count)
             .map(|w| {
@@ -807,9 +808,33 @@ impl<'c> SimulationEngine<'c> {
         let mut lane_voltages = vec![vdd.get(); n_domains];
 
         for k in 0..self.n_decisions {
+            let step0 = k * self.steps_per_decision;
+            // --- Measurement windows of this interval -----------------
+            // Pre-generated before the decision so that (a) the window
+            // stream is identical across policies (one benchmark = one
+            // set of sampled windows, as in the paper's methodology) and
+            // (b) the VT policies' oracle judges the *same* windows that
+            // will be measured. Not synthesised when nothing reads them;
+            // the noise RNG feeds nothing else.
+            let mut interval_windows: Vec<(usize, Vec<Vec<f64>>)> = Vec::new();
+            if analyze_noise {
+                let t_windows = Timer::start();
+                interval_windows = window_steps
+                    .iter()
+                    .copied()
+                    .filter(|&s| s >= step0 && s < step0 + self.steps_per_decision)
+                    .map(|s| {
+                        (
+                            s,
+                            self.domain_windows(&acts[s], &domain_didt, &mut noise_rng),
+                        )
+                    })
+                    .collect();
+                perf.add("windows", t_windows.elapsed_seconds());
+            }
+
             let noise_at_decide = noise_secs;
             let t_decide = Timer::start();
-            let step0 = k * self.steps_per_decision;
             // --- Demand views -----------------------------------------
             let block_powers_now = self.block_powers(&acts[step0], &state);
             let currents_now = self.domain_currents(&block_powers_now);
@@ -932,24 +957,6 @@ impl<'c> SimulationEngine<'c> {
             } else {
                 vec![0.0; n_vrs]
             };
-
-            // --- Measurement windows of this interval -----------------
-            // Pre-generated before the decision so that (a) the window
-            // stream is identical across policies (one benchmark = one
-            // set of sampled windows, as in the paper's methodology) and
-            // (b) the VT policies' oracle judges the *same* windows that
-            // will be measured.
-            let interval_windows: Vec<(usize, Vec<Vec<f64>>)> = window_steps
-                .iter()
-                .copied()
-                .filter(|&s| s >= step0 && s < step0 + self.steps_per_decision)
-                .map(|s| {
-                    (
-                        s,
-                        self.domain_windows(&acts[s], &domain_didt, &mut noise_rng),
-                    )
-                })
-                .collect();
 
             // --- Decide ------------------------------------------------
             let no_emergency = vec![false; n_domains];
@@ -1139,16 +1146,11 @@ impl<'c> SimulationEngine<'c> {
                     max_gradient = max_gradient.max(gradient);
 
                     // Noise windows.
-                    let window_here = if analyze_noise {
-                        interval_windows
-                            .iter()
-                            .find(|&&(s, _)| s == view.step)
-                            .map(|(_, m)| m)
-                    } else {
-                        None
-                    };
+                    let window_here = interval_windows
+                        .iter()
+                        .find(|&&(s, _)| s == view.step)
+                        .map(|(_, m)| m);
                     if let Some(mults) = window_here {
-                        let mults: &Vec<Vec<f64>> = mults;
                         let t_noise = Timer::start();
                         let report = self.analyzer.analyze(
                             self.chip,
@@ -1497,6 +1499,49 @@ mod tests {
         assert_eq!(replayed.max_noise_percent(), synthetic.max_noise_percent());
     }
 
+    /// [`offchip_digest`] of `tiny_config()` lu_ncb × OffChip.
+    const OFFCHIP_DIGEST: u64 = 0x2b8c_f56e_1560_dcfc;
+
+    /// FNV-1a over the bits of an OffChip run's physics: the headline
+    /// metrics, the total-power series and every VR temperature trace.
+    fn offchip_digest(r: &SimulationResult) -> u64 {
+        let headline = [
+            r.max_temperature().get(),
+            r.max_gradient(),
+            r.mean_efficiency(),
+            r.mean_total_vr_loss().get(),
+        ];
+        let vr = r.vr_temperatures();
+        let traces = (0..vr.channel_count()).flat_map(|c| vr.channel(c).iter().copied());
+        headline
+            .into_iter()
+            .chain(r.total_power().values().iter().copied())
+            .chain(traces)
+            .flat_map(f64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn offchip_run_skips_window_synthesis_bit_identically() {
+        let chip = power8_like();
+        let engine = SimulationEngine::new(&chip, tiny_config());
+        let r = engine.run(Benchmark::LuNcb, PolicyKind::OffChip).unwrap();
+        assert_eq!(r.phase_times().samples("windows"), 0);
+        assert!(r.window_noise_percent().is_empty());
+        // Pinned from the engine that still synthesised every window and
+        // discarded it: OffChip reads none, so skipping them must not move
+        // a bit. Re-pin only for a change that is meant to move OffChip
+        // (or for a libm whose `exp` rounds differently).
+        assert_eq!(
+            offchip_digest(&r),
+            OFFCHIP_DIGEST,
+            "{:#018x}",
+            offchip_digest(&r)
+        );
+    }
+
     #[test]
     fn run_reports_phase_times() {
         let chip = power8_like();
@@ -1507,6 +1552,7 @@ mod tests {
             "trace",
             "calibrate",
             "steady",
+            "windows",
             "policy",
             "transient",
             "noise",

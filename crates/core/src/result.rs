@@ -210,8 +210,8 @@ impl SimulationResult {
     }
 
     /// Wall-clock time spent in each simulation phase (trace synthesis,
-    /// calibration, steady-state init, policy decisions, transient
-    /// stepping, noise analysis).
+    /// calibration, steady-state init, noise-window synthesis, policy
+    /// decisions, transient stepping, noise analysis).
     pub fn phase_times(&self) -> &PhaseTimes {
         &self.perf
     }

@@ -9,7 +9,8 @@
 //!   configuration field (via [`EngineConfig::config_fields`] and the
 //!   [`ContentHasher`] shared with `RunManifest::config_hash`). Any
 //!   field change — solver backend, a governor gain, one
-//!   efficiency-curve point — changes the hash.
+//!   efficiency-curve point — changes the hash, and so does a bump of
+//!   [`MODEL_EPOCH`], the version of the model's numerics.
 //! * [`ScenarioCache`] — a content-addressed on-disk record store.
 //!   Each entry is one file named `<bench>-<policy>-<hash>.csv` whose
 //!   first line is a versioned header carrying the schema and hash and
@@ -47,6 +48,15 @@ use workload::Benchmark;
 /// Schema identifier stamped into (and required of) every cache entry.
 pub const SCENARIO_SCHEMA: &str = "thermogater.scenario/v1";
 
+/// Version of the model's numerics, folded into every
+/// [`ScenarioSpec::content_hash`]. Bump it with any change that moves
+/// simulation results — even in their last bits — without changing a
+/// configuration field, so warm caches re-simulate instead of serving
+/// the previous model's records.
+///
+/// History: 1 — transient noise by the O(W) recursive filter.
+pub const MODEL_EPOCH: u32 = 1;
+
 /// One fully described simulation scenario: what to run, under which
 /// policy, with which engine configuration. The spec is pure data — no
 /// engine state — so it can be hashed, queued, shipped, and cached.
@@ -80,13 +90,15 @@ impl ScenarioSpec {
     }
 
     /// Canonical FNV-1a content hash over the benchmark, the policy,
-    /// and every engine-configuration field, using the same framing as
-    /// `RunManifest::config_hash`. Equal specs hash equally; any field
-    /// change forces a different hash and therefore a cache miss.
+    /// [`MODEL_EPOCH`] and every engine-configuration field, using the
+    /// same framing as `RunManifest::config_hash`. Equal specs hash
+    /// equally; any field change — or a new model epoch — forces a
+    /// different hash and therefore a cache miss.
     pub fn content_hash(&self) -> u64 {
         let mut hasher = ContentHasher::new("scenario");
         hasher.push("benchmark", self.benchmark.label());
         hasher.push("policy", sweep::policy_tag(self.policy));
+        hasher.push("model_epoch", MODEL_EPOCH.to_string());
         for (key, value) in self.engine_config.config_fields() {
             hasher.push(&key, &value);
         }
@@ -622,6 +634,28 @@ mod tests {
         let mut bench = spec();
         bench.benchmark = Benchmark::LuNcb;
         assert_ne!(base.content_hash(), bench.content_hash());
+    }
+
+    /// FNV of the golden fixture's text and [`MODEL_EPOCH`].
+    const GOLDEN_EPOCH_PIN: u64 = 0x4267_e9e2_b7fa_b3cc;
+
+    #[test]
+    fn golden_fixture_is_pinned_to_the_model_epoch() {
+        let mut hasher = ContentHasher::new("golden");
+        hasher.push(
+            "golden_tiny.csv",
+            include_str!("../tests/fixtures/golden_tiny.csv"),
+        );
+        hasher.push("model_epoch", MODEL_EPOCH.to_string());
+        assert_eq!(
+            hasher.finish(),
+            GOLDEN_EPOCH_PIN,
+            "golden_tiny.csv or MODEL_EPOCH changed. A re-blessed fixture means \
+             simulation results moved, and warm scenario caches would keep serving \
+             the old ones: bump MODEL_EPOCH, then re-pin GOLDEN_EPOCH_PIN to the \
+             value this test reports (now {:#018x})",
+            hasher.finish()
+        );
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! 2. **Differential checks** — CG vs Gauss–Seidel agreement on the same
 //!    SPD system, direct LDLᵀ vs CG and multigrid-CG vs Jacobi-CG
 //!    agreement on random SPD grids and on the real thermal / PDN
-//!    matrices, and serial vs parallel sweep bit-equality (the cache is
-//!    cleared between legs so both actually recompute).
+//!    matrices, the O(W) recursive transient-noise filter vs the direct
+//!    impulse-kernel convolution it replaced, and serial vs parallel
+//!    sweep bit-equality (the cache is cleared between legs so both
+//!    actually recompute).
 //! 3. **Golden-run comparison** — a committed fixture of tiny-sweep
 //!    records, compared field-by-field at relative tolerance; regenerate
 //!    with `tg-verify --bless` after an intentional physics change.
@@ -31,7 +33,8 @@ use floorplan::reference::power8_like;
 use simkit::check::{self, CheckConfig, CheckOutcome, Checker};
 use simkit::linalg::vec_ops;
 use simkit::linalg::TripletBuilder;
-use simkit::units::{Amps, Volts, Watts};
+use simkit::rng::DeterministicRng;
+use simkit::units::{Amps, Hertz, Seconds, Volts, Watts};
 use std::path::{Path, PathBuf};
 use thermal::{PowerMap, ThermalConfig, ThermalModel};
 use thermogater::{
@@ -1132,6 +1135,89 @@ pub fn diff_mgcg_vs_cg(opts: &VerifyOptions) -> CheckReport {
     to_report("diff.mgcg_vs_cg", cases, outcome, opts)
 }
 
+/// Cycles per `diff.recursive_vs_direct` window: the engine's 2 K.
+const TRANSIENT_WINDOW: usize = 2000;
+
+/// A `diff.recursive_vs_direct` window: level 1, stepping to `0.5 + h`
+/// from cycle `⌊p·W⌋` on for each `(p, h)` pair of `steps` in order (a
+/// trailing odd value is ignored), plus deterministic per-cycle shot
+/// noise of amplitude `jitter` when that is positive.
+fn transient_window(jitter: f64, steps: &[f64]) -> Vec<f64> {
+    let mut window = vec![1.0; TRANSIENT_WINDOW];
+    for pair in steps.chunks_exact(2) {
+        let at = (pair[0] * TRANSIENT_WINDOW as f64) as usize;
+        window[at..].fill(0.5 + pair[1]);
+    }
+    if jitter > 0.0 {
+        let mut rng = DeterministicRng::new(0x5107);
+        for m in &mut window {
+            *m += jitter * rng.normal();
+        }
+    }
+    window
+}
+
+/// The O(W) recursive transient filter (`pdn::transient::noise_series`)
+/// matches the direct convolution it replaced
+/// (`pdn::transient::direct_noise_series`): on every analysed cycle
+/// within `1e-12` of the direct series' peak — exactly, where that peak
+/// is zero, as on a quiet window. Inputs: active regulators (of 9),
+/// `log₁₀` of the regulator response in cycles (0.1, clamped to 1, up
+/// to ≈3 160, so kernels longer than the window occur), warm-up cycles,
+/// shot-noise amplitude (none when not positive), and `(position,
+/// level)` step pairs (see `transient_window`). The corpus pins one
+/// active regulator, no warm-up, a sub-cycle and an integral response,
+/// a kernel longer than the window, and a quiet window.
+pub fn diff_recursive_vs_direct(opts: &VerifyOptions) -> CheckReport {
+    use pdn::transient::{direct_noise_series, noise_series, TransientParams};
+    let config = pdn::PdnConfig::reference();
+    let gen = (
+        check::usize_in(1, 9),
+        check::f64_in(-1.0, 3.5),
+        check::usize_in(0, TRANSIENT_WINDOW - 1),
+        check::f64_in(-0.05, 0.05),
+        check::vec_of(check::f64_in(0.0, 1.0), 0, 24),
+    );
+    let outcome = checker(opts, opts.cases).run(
+        "diff.recursive_vs_direct",
+        &gen,
+        |(n_active, log_response, warmup, jitter, steps)| {
+            let window = transient_window(*jitter, steps);
+            let response_cycles = 10f64.powf(*log_response);
+            let params = TransientParams {
+                mean_current: Amps::new(8.0),
+                n_active: *n_active,
+                n_total: 9,
+                distance_factor: 1.0,
+                // A 1 Hz clock makes the response exactly R cycles.
+                response_time: Seconds::new(response_cycles),
+                frequency: Hertz::new(1.0),
+            };
+            let recursive = noise_series(&config, &params, &window, *warmup);
+            let direct = direct_noise_series(&config, &params, &window, *warmup);
+            check::ensure(recursive.len() == direct.len(), || {
+                format!(
+                    "series lengths differ: {} recursive vs {} direct",
+                    recursive.len(),
+                    direct.len()
+                )
+            })?;
+            let peak = direct.iter().copied().fold(0.0, f64::max);
+            for (n, (r, d)) in recursive.iter().zip(&direct).enumerate() {
+                check::ensure((r - d).abs() <= 1e-12 * peak, || {
+                    format!(
+                        "cycle {}: recursive {r:e} vs direct {d:e} \
+                         (direct peak {peak:e}, R = {response_cycles} cycles)",
+                        warmup + n
+                    )
+                })?;
+            }
+            Ok(())
+        },
+    );
+    to_report("diff.recursive_vs_direct", opts.cases, outcome, opts)
+}
+
 /// The benchmark × policy cells of the sweep differential / golden runs.
 pub fn verify_grid() -> ([Benchmark; 2], [PolicyKind; 2]) {
     (
@@ -1402,6 +1488,7 @@ pub fn run_all(opts: &VerifyOptions) -> VerifyRun {
         diff_cg_vs_gs(opts),
         diff_direct_vs_cg(opts),
         diff_mgcg_vs_cg(opts),
+        diff_recursive_vs_direct(opts),
     ];
     if !opts.skip_sweep {
         let (sweep_report, records) = diff_sweep_parallel(opts);

@@ -18,7 +18,11 @@
 //!   underdamped impulse-response kernel whose magnitude shrinks with the
 //!   number of active regulators and with regulator response speed (the
 //!   LDO-vs-FIVR distinction of Fig. 15). Its one entry point,
-//!   [`transient::noise_series`], returns a window's per-cycle series.
+//!   [`transient::noise_series`], returns a window's per-cycle series in
+//!   O(W): the truncated kernel is two complex geometric series, so the
+//!   convolution runs exactly as two one-pole recursions.
+//!   [`transient::direct_noise_series`] keeps the O(W·L) convolution as
+//!   the reference those recursions are checked against.
 //! * [`NoiseAnalyzer`] — combines both: one transient pass per domain and
 //!   window yields a [`NoiseReport`] holding the per-domain maximum
 //!   voltage noise (Figs. 11/14/15), the Table 2 emergency residency

@@ -415,6 +415,7 @@ macro_rules! tuple_gen {
 tuple_gen!(A / a / 0, B / b / 1);
 tuple_gen!(A / a / 0, B / b / 1, C / c / 2);
 tuple_gen!(A / a / 0, B / b / 1, C / c / 2, D / d / 3);
+tuple_gen!(A / a / 0, B / b / 1, C / c / 2, D / d / 3, E / e / 4);
 
 // ---------------------------------------------------------------------------
 // Checker
